@@ -87,7 +87,7 @@ void BM_SymbolicReachable(benchmark::State& state) {
     // Build + chained-saturation least fixpoint + count: the whole "how
     // many states" pipeline.
     const auto ring = symbolic::build_symbolic_ring(r);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     last = ring.system;
   }
   if (last != nullptr) report_manager_counters(state, last->manager());
@@ -108,7 +108,7 @@ void BM_SymbolicReachable256(benchmark::State& state) {
   // crowd the sweep above.
   for (auto _ : state) {
     const auto ring = symbolic::build_symbolic_ring(256);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
   }
 }
 BENCHMARK(BM_SymbolicReachable256)->Unit(benchmark::kMillisecond)->Iterations(1);
@@ -196,7 +196,7 @@ void BM_SymbolicSiftScrambledRing(benchmark::State& state) {
     auto mgr = std::make_shared<symbolic::BddManager>(num_vars);
     mgr->set_initial_order(order);
     const auto ring = symbolic::build_symbolic_ring(r, mgr);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     live_before = mgr->live_nodes();
     state.ResumeTiming();
     live_after = mgr->reorder_now();
@@ -217,7 +217,7 @@ void BM_SymbolicStoreSaveRing(benchmark::State& state) {
   // reload forever".
   const auto r = static_cast<std::uint32_t>(state.range(0));
   const auto ring = symbolic::build_symbolic_ring(r);
-  benchmark::DoNotOptimize(ring.system->num_reachable());
+  benchmark::DoNotOptimize(ring.system->num_states());
   std::size_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
@@ -239,7 +239,7 @@ void BM_SymbolicStoreLoadRing(benchmark::State& state) {
   // the saved fixpoint, so num_states() returns without any saturation.
   const auto r = static_cast<std::uint32_t>(state.range(0));
   const auto ring = symbolic::build_symbolic_ring(r);
-  benchmark::DoNotOptimize(ring.system->num_reachable());
+  benchmark::DoNotOptimize(ring.system->num_states());
   std::ostringstream out;
   symbolic::save_transition_system(*ring.system, out);
   const std::string blob = out.str();
@@ -269,7 +269,7 @@ void BM_SymbolicReachableWithAutoGc(benchmark::State& state) {
         std::make_shared<symbolic::BddManager>(2 * (2 * r + 1));
     mgr->enable_auto_gc(/*slack=*/1u << 12);
     const auto ring = symbolic::build_symbolic_ring(r, mgr);
-    benchmark::DoNotOptimize(ring.system->num_reachable());
+    benchmark::DoNotOptimize(ring.system->num_states());
     last = ring.system;
   }
   if (last != nullptr) report_manager_counters(state, last->manager());

@@ -1,5 +1,6 @@
 #include "logic/formula.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <unordered_map>
 
@@ -51,7 +52,10 @@ struct ConsKeyHash {
 };
 
 // Hash-consing table.  Entries are weak so unused formulas can be reclaimed;
-// a mutex keeps construction thread-safe.
+// a mutex keeps construction thread-safe.  A reclaimed formula leaves an
+// expired entry behind; make() sweeps those whenever the table has doubled
+// since the last sweep, so the table stays within twice the peak live
+// count (or kMinSweepSize) at amortized O(1) per construction.
 std::mutex& cons_mutex() {
   static std::mutex m;
   return m;
@@ -64,6 +68,9 @@ std::unordered_map<ConsKey, std::weak_ptr<const Formula>, ConsKeyHash>& cons_tab
 // Monotone node-id source (guarded by cons_mutex): a reclaimed node's id is
 // never handed out again, so id-keyed memo caches can never alias.
 std::uint64_t next_node_id = 0;
+
+constexpr std::size_t kMinSweepSize = 1024;
+std::size_t next_sweep_at = kMinSweepSize;  // guarded by cons_mutex
 
 FormulaPtr make(Kind kind, FormulaPtr lhs = nullptr, FormulaPtr rhs = nullptr,
                 std::string name = {}, std::string index_var = {},
@@ -80,10 +87,21 @@ FormulaPtr make(Kind kind, FormulaPtr lhs = nullptr, FormulaPtr rhs = nullptr,
                                            std::move(index_var), index_value, hash,
                                            next_node_id++);
   table[key] = f;
+  if (table.size() >= next_sweep_at) {
+    // Erasing an expired weak_ptr never runs a Formula destructor (the
+    // node is already gone), so this cannot re-enter make() under the lock.
+    std::erase_if(table, [](const auto& entry) { return entry.second.expired(); });
+    next_sweep_at = std::max(kMinSweepSize, 2 * table.size());
+  }
   return f;
 }
 
 }  // namespace
+
+std::size_t hash_cons_table_size() {
+  std::lock_guard<std::mutex> lock(cons_mutex());
+  return cons_table().size();
+}
 
 FormulaPtr f_true() { return make(Kind::kTrue); }
 FormulaPtr f_false() { return make(Kind::kFalse); }

@@ -150,4 +150,8 @@ class Formula {
 /// Number of nodes in the formula DAG counted as a tree (formula size).
 [[nodiscard]] std::size_t formula_size(const FormulaPtr& f);
 
+/// Entries in the process-wide hash-cons table, live or expired but not yet
+/// swept — at most twice the peak number of live formulas (or 1024).
+[[nodiscard]] std::size_t hash_cons_table_size();
+
 }  // namespace ictl::logic

@@ -333,7 +333,8 @@ Bdd BddManager::mk(std::uint32_t v, Bdd low, Bdd high) {
   // Only FLAG maintenance here — mk() runs deep inside the operator
   // recursions, where reordering or a sweep would corrupt in-flight
   // cofactors.  The public entry points run it after rooting their result.
-  if (reorder_hook_ != nullptr && !in_reorder_ && nodes_.size() >= reorder_threshold_)
+  if (dynamic_reordering_.has_value() && !in_reorder_ &&
+      nodes_.size() >= reorder_threshold_)
     reorder_pending_ = true;
   // live_nodes_ still counts queued (released-but-unflushed) roots, which
   // would let churn garbage inflate its own trigger threshold; subtract the
@@ -376,7 +377,7 @@ void BddManager::rehash_subtable(SubTable& t, std::size_t new_buckets) {
 }
 
 void BddManager::run_deferred_maintenance() {
-  fire_pending_reorder_hook();
+  fire_pending_reorder();
   if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0 &&
       reorder_pause_depth_ == 0) {
     gc_pending_ = false;
@@ -416,24 +417,17 @@ void BddManager::enforce_node_budget() {
   budget->trip(BudgetKind::kNodes, "bdd/node_cap");
 }
 
-void BddManager::fire_pending_reorder_hook() {
-  if (!reorder_pending_ || reorder_hook_ == nullptr || in_reorder_ ||
+void BddManager::fire_pending_reorder() {
+  if (!reorder_pending_ || !dynamic_reordering_.has_value() || in_reorder_ ||
       reorder_pause_depth_ > 0 || protect_scope_depth_ > 0)
     return;
   reorder_pending_ = false;
   ++stats_.reorder_hook_calls;
-  const std::size_t grown_to = nodes_.size();
-  // Double the threshold before invoking: ops the hook itself performs may
+  // Double the threshold before sifting: ops the sift itself performs may
   // re-flag, but re-fire only after genuine further growth.
+  const std::size_t grown_to = nodes_.size();
   while (reorder_threshold_ <= grown_to) reorder_threshold_ *= 2;
-  reorder_hook_(*this, grown_to);
-}
-
-void BddManager::set_reorder_hook(std::function<void(BddManager&, std::size_t)> hook,
-                                  std::size_t threshold) {
-  reorder_hook_ = std::move(hook);
-  reorder_threshold_ = threshold == 0 ? 1 : threshold;
-  reorder_pending_ = false;
+  reorder_now(*dynamic_reordering_);
 }
 
 void BddManager::enable_dynamic_reordering(std::size_t threshold,
@@ -451,9 +445,9 @@ void BddManager::enable_dynamic_reordering(std::size_t threshold,
           "BddManager::enable_dynamic_reordering: pair grouping needs each "
           "(2k, 2k+1) pair on adjacent levels (unprimed above primed)");
   }
-  set_reorder_hook(
-      [options](BddManager& mgr, std::size_t) { mgr.reorder_now(options); },
-      threshold);
+  dynamic_reordering_ = options;
+  reorder_threshold_ = threshold == 0 ? 1 : threshold;
+  reorder_pending_ = false;
 }
 
 // ---- Garbage collection -----------------------------------------------------

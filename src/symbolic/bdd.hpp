@@ -50,7 +50,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -292,9 +292,12 @@ class BddManager {
   /// retired.  Returns live_nodes().
   std::size_t reorder_now(const ReorderOptions& options = ReorderOptions());
 
-  /// Attaches an internal growth hook that runs reorder_now whenever the
-  /// node count first crosses `threshold` (which then doubles) — the
-  /// production way to turn sifting on.
+  /// Turns growth-triggered sifting on: reorder_now(options) runs whenever
+  /// the node count first crosses `threshold`, which then doubles.  The
+  /// crossing is detected during node creation but the sift runs only when
+  /// the triggering public operation returns — never mid-recursion, so it
+  /// cannot corrupt an in-flight ITE.  Calling again replaces the options
+  /// and resets the threshold.
   void enable_dynamic_reordering(std::size_t threshold = std::size_t{1} << 14,
                                  const ReorderOptions& options = ReorderOptions());
 
@@ -322,16 +325,6 @@ class BddManager {
                             "pause_reordering (pause depth underflow)");
     --reorder_pause_depth_;
   }
-
-  /// Attachment point for custom reordering policy: `hook` fires whenever
-  /// the node count first crosses `threshold`, which then doubles.  The
-  /// crossing is detected during node creation but the hook is invoked only
-  /// when the triggering public operation returns — never mid-recursion, so
-  /// a hook that reorders (e.g. calls reorder_now) cannot corrupt an
-  /// in-flight ITE.  Pass nullptr to detach.  enable_dynamic_reordering is
-  /// sugar for a hook that sifts.
-  void set_reorder_hook(std::function<void(BddManager&, std::size_t)> hook,
-                        std::size_t threshold = 1u << 16);
 
   [[nodiscard]] std::uint32_t node_var(Bdd f) const;
   [[nodiscard]] Bdd node_low(Bdd f) const;
@@ -371,9 +364,9 @@ class BddManager {
   };
 
   /// Deep cross-structure audit up to `level` (see AuditLevel).  Truly
-  /// const — unlike the PR 6 check_invariants it does NOT settle the
-  /// deferred-death queue: the liveness recount treats queued zombies as
-  /// roots, which is exactly the state their cones' counts still reflect.
+  /// const — it does NOT settle the deferred-death queue: the liveness
+  /// recount treats queued zombies as roots, which is exactly the state
+  /// their cones' counts still reflect.
   /// O(n log n) from the canonicity map.
   [[nodiscard]] AuditReport audit(AuditLevel level = AuditLevel::kFull) const;
 
@@ -382,9 +375,6 @@ class BddManager {
   /// store/load epochs; `where` names the epoch in the error text.
   void assert_audit(AuditLevel level = AuditLevel::kFull,
                     const char* where = "audit") const;
-
-  /// audit(kFull).ok() — the boolean test-support entry point.
-  [[nodiscard]] bool check_invariants() const { return audit().ok(); }
 
  private:
   friend class ProtectScope;
@@ -419,10 +409,10 @@ class BddManager {
   void rehash_subtable(SubTable& table, std::size_t new_buckets);
 
   /// Invoked at the end of every public operation (after the result has
-  /// been rooted): runs the reorder hook if mk() flagged a threshold
-  /// crossing, then any pending garbage collection.
+  /// been rooted): runs the growth-triggered sift if mk() flagged a
+  /// threshold crossing, then any pending garbage collection.
   void run_deferred_maintenance();
-  void fire_pending_reorder_hook();
+  void fire_pending_reorder();
 
   /// Graceful degradation under an installed ResourceBudget node cap: when
   /// the live set is over the cap, escalate GC -> forced sifting -> only
@@ -444,7 +434,7 @@ class BddManager {
   /// iteration — eager teardown made each public op pay two O(cone) walks).
   /// A queued "zombie" keeps its counts, so re-rooting it is an O(1) flag
   /// clear; the walks run here, once, at the points that need exact
-  /// liveness: sweeps, reordering, live_nodes(), check_invariants().
+  /// liveness: sweeps, reordering, live_nodes().
   void flush_dead_queue() noexcept;
 
   /// Centralized cache invalidation: bumps the computed-table epoch and the
@@ -521,7 +511,7 @@ class BddManager {
   std::uint32_t cache_tick_ = 0;
 
   Stats stats_;
-  std::function<void(BddManager&, std::size_t)> reorder_hook_;
+  std::optional<ReorderOptions> dynamic_reordering_;  // set once sifting is armed
   std::size_t reorder_threshold_ = 0;
   bool reorder_pending_ = false;
   bool in_reorder_ = false;

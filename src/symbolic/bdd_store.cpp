@@ -282,7 +282,7 @@ void save_transition_system(const TransitionSystem& system, std::ostream& out) {
   w.bytes(kSystemMagic, sizeof(kSystemMagic));
   w.u32(kVersion);
   w.u32(system.num_state_vars());
-  w.u32(system.partition_kind() == PartitionKind::kDisjunctive ? 0 : 1);
+  w.u32(0);  // partition-kind slot: the only kind is disjunctive
   w.u32(static_cast<std::uint32_t>(parts.size()));
   w.u32(static_cast<std::uint32_t>(props.size()));
   for (const auto& [prop, fn] : props) w.u32(prop);
@@ -314,11 +314,10 @@ TransitionSystem load_transition_system(std::istream& in,
                           "load_transition_system: unsupported store version " +
                               std::to_string(version));
   const std::uint32_t num_state_vars = r.u32();
-  const std::uint32_t kind_tag = r.u32();
-  support::require<Error>(kind_tag <= 1,
+  // The partition-kind slot stays in the format; 0 (disjunctive) is the
+  // only kind there is, so anything else is corruption.
+  support::require<Error>(r.u32() == 0,
                           "load_transition_system: corrupt partition kind");
-  const PartitionKind kind =
-      kind_tag == 0 ? PartitionKind::kDisjunctive : PartitionKind::kConjunctive;
   const std::uint32_t num_parts = r.u32();
   const std::uint32_t num_props = r.u32();
   support::require<Error>(num_parts <= kMaxNodes && num_props <= kMaxNodes,
@@ -360,7 +359,7 @@ TransitionSystem load_transition_system(std::istream& in,
 
   // blobs' BddRefs keep every root live until the constructor roots its own.
   TransitionSystem system(blobs.manager, num_state_vars, blobs.root("initial"),
-                          std::move(partition), kind, std::move(registry),
+                          std::move(partition), std::move(registry),
                           std::move(props), std::move(indices));
   if (reach_tag == 1) system.adopt_reachable(blobs.root("reach"));
 #ifdef ICTL_AUDIT

@@ -22,8 +22,9 @@
 // verdicts, and dag sizes are preserved).
 //
 // save_transition_system/load_transition_system layer a TransitionSystem
-// header (state-var count, partition kind, prop ids, index set) over the
-// same blob, with roots "initial", "part/<k>", "prop/<k>" and — when the
+// header (state-var count, partition-kind slot — always 0, disjunctive;
+// the loader rejects any other value — prop ids, index set) over the same
+// blob, with roots "initial", "part/<k>", "prop/<k>" and — when the
 // fixpoint has been computed — "reach", which the loader hands to
 // adopt_reachable so reachability is NOT recomputed on reload.
 #pragma once

@@ -47,10 +47,6 @@ bool CtlChecker::holds_initially(const FormulaPtr& f) {
   return m.bdd_diff(initial, sat(f)).get() == kBddFalse;
 }
 
-double CtlChecker::count_sat(const FormulaPtr& f) {
-  return system_->count_states(sat(f));
-}
-
 std::shared_ptr<const eval::FixpointProgram> CtlChecker::program(
     const FormulaPtr& f) {
   support::require<LogicError>(f != nullptr, "CtlChecker::program: null formula");

@@ -55,9 +55,6 @@ class CtlChecker {
   /// True when every initial state satisfies `f`.
   [[nodiscard]] bool holds_initially(const logic::FormulaPtr& f);
 
-  /// Number of reachable states satisfying `f`.
-  [[nodiscard]] double count_sat(const logic::FormulaPtr& f);
-
   /// The compiled program for `f` (cached, shared with every engine that
   /// compiles the same formula DAG against the same index set).
   [[nodiscard]] std::shared_ptr<const eval::FixpointProgram> program(

@@ -96,8 +96,7 @@ Bdd or_all(BddManager& mgr, std::vector<Bdd> terms) {
 }  // namespace
 
 SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mgr,
-                                 kripke::PropRegistryPtr registry,
-                                 const SymbolicRingOptions& options) {
+                                 kripke::PropRegistryPtr registry) {
   support::require<ModelError>(
       r >= 2,
       "build_symbolic_ring: need at least two processes (the paper notes no "
@@ -127,9 +126,9 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   const std::uint32_t c_var = 2 * r;  // state var of the phase bit
   // The whole build runs under one protect_scope: it defers both garbage
   // collection and growth-triggered reordering (a shared manager may arrive
-  // with a growth hook from an earlier dynamic_reordering build, or with
-  // auto-GC armed), so every raw make_node chain below stays valid until
-  // the TransitionSystem constructor roots what it retains.
+  // with dynamic reordering or auto-GC armed), so every raw make_node chain
+  // below stays valid until the TransitionSystem constructor roots what it
+  // retains.
   const auto frozen_order = m.protect_scope();
   ChainBuilder chain(m, num_state_vars);
 
@@ -166,11 +165,9 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   // the closest delayed process to j's left; i enters its critical section,
   // j goes neutral.  Per (j, i) pair the guard is h_j & d_i & (no delayed
   // strictly between i and j, walking left from j); per-holder relations
-  // are OR-ed into clusters rather than one monolithic relation.
-  const std::uint32_t cluster_width =
-      options.holders_per_cluster != 0
-          ? options.holders_per_cluster
-          : std::max<std::uint32_t>(1, (r + 15) / 16);
+  // are OR-ed into clusters of ceil(r / 16) holders — at most 16 rule-2
+  // parts however large the ring — rather than one monolithic relation.
+  const std::uint32_t cluster_width = std::max<std::uint32_t>(1, (r + 15) / 16);
   std::vector<Bdd> holder_relations(r + 1, kBddFalse);
 
   const bool canonical_order = [&] {
@@ -305,13 +302,6 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   chain.at(c_var) = {Unprimed::kFalse, Primed::kFree};
   const Bdd initial = chain.build();
 
-  // The trigger means "the table outgrew the build", not an absolute size:
-  // on a manager that already holds a large, well-ordered relation a fixed
-  // threshold would fire immediately and sift for nothing.
-  if (options.dynamic_reordering)
-    mgr->enable_dynamic_reordering(
-        std::max<std::size_t>(options.reorder_threshold, 2 * mgr->num_nodes()));
-
   // ---- Labels ---------------------------------------------------------------
   const auto d = [&](std::uint32_t i) {
     return m.var(TransitionSystem::unprimed(SymbolicRing::delayed_var(i)));
@@ -346,8 +336,7 @@ SymbolicRing build_symbolic_ring(std::uint32_t r, std::shared_ptr<BddManager> mg
   ring.r = r;
   ring.system = std::make_shared<TransitionSystem>(
       std::move(mgr), num_state_vars, initial, std::move(partition),
-      PartitionKind::kDisjunctive, std::move(registry), std::move(props),
-      std::move(indices));
+      std::move(registry), std::move(props), std::move(indices));
   return ring;
 }
 

@@ -18,9 +18,10 @@
 // relation (see TransitionSystem): each rule instance is a constraint
 // chain built directly through BddManager::make_node — one pass over the
 // variable order, no ITE recursion — and the rule-2 instances are OR-ed
-// into per-holder clusters (options.holders_per_cluster wide) instead of
-// one monolithic T.  Labels: d_i = d_i; n_i = neutral or holder-in-T;
-// t_i = h_i; c_i = h_i & c; Theta t = exactly-one h.
+// into per-holder clusters of max(1, ceil(r / 16)) holders (at most 16
+// rule-2 parts however large the ring) instead of one monolithic T.
+// Labels: d_i = d_i; n_i = neutral or holder-in-T; t_i = h_i;
+// c_i = h_i & c; Theta t = exactly-one h.
 #pragma once
 
 #include <cstdint>
@@ -38,23 +39,6 @@ namespace ictl::symbolic {
 /// bound it.  Far past the explicit engine's r = 24; the partitioned
 /// chain-based build holds the cube's constant small enough for r = 256.
 constexpr std::uint32_t kMaxSymbolicRingSize = 256;
-
-struct SymbolicRingOptions {
-  /// Rule-2 instances are clustered by holder: this many holders' rules
-  /// are OR-ed into one partition.  0 picks ceil(r / 16) — at most 16
-  /// rule-2 partitions however large the ring.  1 gives one partition per
-  /// holder (maximal chaining granularity); r collapses rule 2 into a
-  /// single partition.
-  std::uint32_t holders_per_cluster = 0;
-  /// Turn on sifting (BddManager::enable_dynamic_reordering, pair-grouped)
-  /// before the relation is built.  The interleaved default order is
-  /// already near-optimal for the ring, so this mainly serves the
-  /// order-robustness tests; scrambled initial orders recover.
-  bool dynamic_reordering = false;
-  /// Node-count threshold for the first automatic sift (when
-  /// dynamic_reordering is set).
-  std::size_t reorder_threshold = std::size_t{1} << 14;
-};
 
 struct SymbolicRing {
   std::shared_ptr<TransitionSystem> system;
@@ -78,10 +62,12 @@ struct SymbolicRing {
 /// Builds the symbolic M_r for 2 <= r <= kMaxSymbolicRingSize over a fresh
 /// or shared manager/registry.  Registers the same propositions in the same
 /// order as RingSystem::build, so a shared registry yields identical
-/// PropIds across the explicit and symbolic engines.
+/// PropIds across the explicit and symbolic engines.  To sift, call
+/// mgr->enable_dynamic_reordering after the build: the interleaved default
+/// order is already near-optimal for the ring, and scrambled initial orders
+/// (BddManager::set_initial_order) recover.
 [[nodiscard]] SymbolicRing build_symbolic_ring(
     std::uint32_t r, std::shared_ptr<BddManager> mgr = nullptr,
-    kripke::PropRegistryPtr registry = nullptr,
-    const SymbolicRingOptions& options = {});
+    kripke::PropRegistryPtr registry = nullptr);
 
 }  // namespace ictl::symbolic

@@ -1,7 +1,6 @@
 #include "symbolic/transition_system.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
@@ -12,13 +11,12 @@ namespace ictl::symbolic {
 
 TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
                                    std::uint32_t num_state_vars, Bdd initial,
-                                   std::vector<Bdd> partition, PartitionKind kind,
+                                   std::vector<Bdd> partition,
                                    kripke::PropRegistryPtr registry,
                                    std::vector<std::pair<kripke::PropId, Bdd>> props,
                                    std::vector<std::uint32_t> index_set)
     : mgr_(std::move(mgr)),
       num_state_vars_(num_state_vars),
-      kind_(kind),
       registry_(std::move(registry)),
       index_set_(std::move(index_set)) {
   support::require<ModelError>(mgr_ != nullptr, "TransitionSystem: null manager");
@@ -58,7 +56,6 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
     to_unprimed_[primed(v)] = unprimed(v);
   }
 
-  if (kind_ == PartitionKind::kConjunctive) build_quantification_schedule();
 #ifdef ICTL_AUDIT
   assert_audit("construction");
 #endif
@@ -70,49 +67,8 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
                                    std::vector<std::pair<kripke::PropId, Bdd>> props,
                                    std::vector<std::uint32_t> index_set)
     : TransitionSystem(std::move(mgr), num_state_vars, initial,
-                       std::vector<Bdd>{transitions}, PartitionKind::kDisjunctive,
-                       std::move(registry), std::move(props), std::move(index_set)) {}
-
-void TransitionSystem::build_quantification_schedule() {
-  // For each state variable, the LAST part (in partition order) whose
-  // support mentions it: a conjunctive relational product may quantify the
-  // variable out right after conjoining that part — no later conjunct can
-  // resurrect it.  Computed once; the cubes are reused by every image.
-  const std::size_t num_parts = parts_.size();
-  constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> last_primed(num_state_vars_, kNever);
-  std::vector<std::size_t> last_unprimed(num_state_vars_, kNever);
-  for (std::size_t k = 0; k < num_parts; ++k) {
-    for (const std::uint32_t bdd_var : mgr_->support_vars(parts_[k])) {
-      const std::uint32_t state_var = bdd_var / 2;
-      if (state_var >= num_state_vars_) continue;
-      if (bdd_var % 2 == 0)
-        last_unprimed[state_var] = k;
-      else
-        last_primed[state_var] = k;
-    }
-  }
-  std::vector<std::vector<std::uint32_t>> pre_sched(num_parts), post_sched(num_parts);
-  std::vector<std::uint32_t> pre_leading, post_leading;
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    if (last_primed[v] == kNever)
-      pre_leading.push_back(primed(v));
-    else
-      pre_sched[last_primed[v]].push_back(primed(v));
-    if (last_unprimed[v] == kNever)
-      post_leading.push_back(unprimed(v));
-    else
-      post_sched[last_unprimed[v]].push_back(unprimed(v));
-  }
-  pre_schedule_cubes_.reserve(num_parts);
-  post_schedule_cubes_.reserve(num_parts);
-  for (std::size_t k = 0; k < num_parts; ++k) {
-    pre_schedule_cubes_.push_back(mgr_->cube(pre_sched[k]));
-    post_schedule_cubes_.push_back(mgr_->cube(post_sched[k]));
-  }
-  pre_leading_cube_ = mgr_->cube(pre_leading);
-  post_leading_cube_ = mgr_->cube(post_leading);
-}
+                       std::vector<Bdd>{transitions}, std::move(registry),
+                       std::move(props), std::move(index_set)) {}
 
 Bdd TransitionSystem::transitions() const {
   if (monolithic_.has_value()) return monolithic_->get();
@@ -126,9 +82,7 @@ Bdd TransitionSystem::transitions() const {
     std::vector<Bdd> next;
     next.reserve(terms.size() / 2 + 1);
     for (std::size_t i = 0; i + 1 < terms.size(); i += 2)
-      next.push_back(kind_ == PartitionKind::kDisjunctive
-                         ? mgr_->bdd_or(terms[i], terms[i + 1])
-                         : mgr_->bdd_and(terms[i], terms[i + 1]));
+      next.push_back(mgr_->bdd_or(terms[i], terms[i + 1]));
     if (terms.size() % 2 != 0) next.push_back(terms.back());
     terms = std::move(next);
   }
@@ -143,48 +97,26 @@ std::size_t TransitionSystem::relation_node_count() const {
 BddRef TransitionSystem::pre_image(Bdd states) const {
   ICTL_COUNT("sym", "pre_images");
   const BddRef primed_states = mgr_->rename(states, to_primed_);
-  if (kind_ == PartitionKind::kDisjunctive) {
-    // One relational product against the combined relation.  Disjunctive
-    // images distribute over the parts, but for this family the combined
-    // BDD is small (the parts exist to make BUILDING it cheap and to
-    // chain reachability), and EX-heavy CTL fixpoints measured ~5x faster
-    // on one and_exists than on a per-part product-and-OR loop — so the
-    // single-step images use the lazy combine.
-    return mgr_->and_exists(transitions(), primed_states, primed_cube_);
-  }
-  // Conjunctive: fold the parts through the relational product, retiring
-  // each primed variable at its scheduled part.
-  ICTL_PROFILE_ARG("sym", "early_quant_fold", "parts", parts_.size());
-  BddRef acc = mgr_->exists(primed_states, pre_leading_cube_);
-  for (std::size_t k = 0; k < parts_.size(); ++k) {
-    // Per-part checkpoint in the conjunctive fold: acc is rooted between
-    // and_exists steps, so a trip here leaves nothing half-quantified.
-    rt::checkpoint("sym/image_fold");
-    acc = mgr_->and_exists(acc, parts_[k], pre_schedule_cubes_[k]);
-  }
-  return acc;
+  // One relational product against the combined relation.  Images
+  // distribute over the parts, but for this family the combined BDD is
+  // small (the parts exist to make BUILDING it cheap and to chain
+  // reachability), and EX-heavy CTL fixpoints measured ~5x faster on one
+  // and_exists than on a per-part product-and-OR loop — so the single-step
+  // images use the lazy combine.
+  return mgr_->and_exists(transitions(), primed_states, primed_cube_);
 }
 
 BddRef TransitionSystem::post_image(Bdd states) const {
   ICTL_COUNT("sym", "post_images");
-  if (kind_ == PartitionKind::kDisjunctive) {
-    const BddRef next = mgr_->and_exists(transitions(), states, unprimed_cube_);
-    return mgr_->rename(next, to_unprimed_);
-  }
-  ICTL_PROFILE_ARG("sym", "early_quant_fold", "parts", parts_.size());
-  BddRef acc = mgr_->exists(states, post_leading_cube_);
-  for (std::size_t k = 0; k < parts_.size(); ++k) {
-    rt::checkpoint("sym/image_fold");
-    acc = mgr_->and_exists(acc, parts_[k], post_schedule_cubes_[k]);
-  }
-  return mgr_->rename(acc, to_unprimed_);
+  const BddRef next = mgr_->and_exists(transitions(), states, unprimed_cube_);
+  return mgr_->rename(next, to_unprimed_);
 }
 
 Bdd TransitionSystem::reachable() const {
   if (reachable_.has_value()) return reachable_->get();
   ICTL_PROFILE_ARG("sym", "reach_fixpoint", "parts", parts_.size());
   BddRef reach = initial_;
-  if (kind_ == PartitionKind::kDisjunctive && parts_.size() > 1) {
+  if (parts_.size() > 1) {
     // Chained saturation sweeps: each part is applied to ITS OWN fixpoint
     // before the next part fires (Ravi–Somenzi chaining pushed to
     // saturation).  Rule-wise saturation keeps the intermediate sets far
@@ -232,17 +164,10 @@ Bdd TransitionSystem::reachable() const {
   return reachable_->get();
 }
 
-double TransitionSystem::count_states(Bdd set) const {
-  // sat_count ranges over every manager variable; each of the
+SatCount TransitionSystem::count_states(Bdd set) const {
+  // sat_count_exact ranges over every manager variable; each of the
   // num_state_vars primed variables (absent from a state set's support)
   // doubles the count, as does any extra variable the manager owns.
-  const double over_all = mgr_->sat_count(set);
-  const int extra = static_cast<int>(mgr_->num_vars()) -
-                    static_cast<int>(num_state_vars_);
-  return std::ldexp(over_all, -extra);
-}
-
-SatCount TransitionSystem::count_states_exact(Bdd set) const {
   SatCount over_all = mgr_->sat_count_exact(set);
   if (!over_all.is_zero())
     over_all.exponent -= static_cast<std::int32_t>(mgr_->num_vars()) -
@@ -310,51 +235,6 @@ BddManager::AuditReport TransitionSystem::audit() const {
   };
   cube_support_is(unprimed_cube_.get(), false, "unprimed cube");
   cube_support_is(primed_cube_.get(), true, "primed cube");
-
-  // Early-quantification schedule (conjunctive partitions): each quantified
-  // variable retired exactly at the LAST part whose support mentions it,
-  // never-mentioned variables in the leading cube.  Together that is both
-  // soundness (nothing quantified while a later part still constrains it)
-  // and completeness (every primed/unprimed variable is quantified
-  // somewhere — a gap would leak primed variables into image results).
-  if (kind_ == PartitionKind::kConjunctive) {
-    if (pre_schedule_cubes_.size() != parts_.size() ||
-        post_schedule_cubes_.size() != parts_.size()) {
-      fail("quantification schedule length does not match the partition");
-    } else {
-      constexpr std::size_t kNever = static_cast<std::size_t>(-1);
-      std::vector<std::size_t> last_primed(n, kNever), last_unprimed(n, kNever);
-      for (std::size_t k = 0; k < parts_.size(); ++k)
-        for (const std::uint32_t v : mgr_->support_vars(parts_[k])) {
-          if (v / 2 >= n) continue;
-          (v % 2 != 0 ? last_primed : last_unprimed)[v / 2] = k;
-        }
-      const auto check_half = [&](const std::vector<BddRef>& cubes,
-                                  const BddRef& leading,
-                                  const std::vector<std::size_t>& last,
-                                  bool primed_half, const std::string& what) {
-        std::vector<std::vector<std::uint32_t>> expect(parts_.size());
-        std::vector<std::uint32_t> expect_leading;
-        for (std::uint32_t v = 0; v < n; ++v) {
-          const std::uint32_t bdd_var = primed_half ? primed(v) : unprimed(v);
-          if (last[v] == kNever)
-            expect_leading.push_back(bdd_var);
-          else
-            expect[last[v]].push_back(bdd_var);
-        }
-        for (std::size_t k = 0; k < parts_.size(); ++k)
-          if (mgr_->support_vars(cubes[k].get()) != expect[k])
-            fail(what + " schedule cube " + std::to_string(k) +
-                 " does not quantify exactly the variables last mentioned there");
-        if (mgr_->support_vars(leading.get()) != expect_leading)
-          fail(what + " leading cube does not cover exactly the never-mentioned "
-                      "variables");
-      };
-      check_half(pre_schedule_cubes_, pre_leading_cube_, last_primed, true, "pre");
-      check_half(post_schedule_cubes_, post_leading_cube_, last_unprimed, false,
-                 "post");
-    }
-  }
 
   // Reachable (when computed): a set over unprimed variables containing the
   // initial states and closed under the post image — i.e., a fixpoint.

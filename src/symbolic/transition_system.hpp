@@ -1,17 +1,13 @@
 // A Kripke structure encoded symbolically: state variables as BDD
 // variables, the transition relation as a PARTITIONED list of BDDs —
-// T(x, x') is the disjunction (asynchronous interleaving) or conjunction
-// (synchronous composition) of per-rule/per-cluster relations that are
+// T(x, x') is the disjunction of per-rule/per-cluster relations (one
+// process moves per step: the paper's networks are asynchronous) that are
 // never combined into one monolithic BDD on the hot path — plus
 // per-proposition characteristic functions and pre_image/post_image
 // primitives mirroring the CSR primitives of kripke::Structure, over
 // sets-as-BDDs, so the state space is never enumerated.
 //
-// Image computation is partition-aware: a conjunctive partition folds the
-// parts through and_exists with an EARLY-QUANTIFICATION schedule — each
-// state variable is quantified out as soon as no later part mentions it —
-// computed once per partition order at construction.  A disjunctive
-// partition chains its parts to saturation inside reachable() (the big
+// Image computation: reachable() chains the parts to saturation (the big
 // win: one sweep carries the ring token all the way around), while the
 // single-step pre/post images run one relational product against the
 // lazily combined relation — the parts keep the COMBINE cheap, and a lone
@@ -45,30 +41,24 @@
 
 namespace ictl::symbolic {
 
-/// How a partitioned relation combines into T(x, x').
-enum class PartitionKind {
-  kDisjunctive,  ///< T = part_0 | part_1 | ... (interleaved/asynchronous rules)
-  kConjunctive,  ///< T = part_0 & part_1 & ... (synchronous constraints)
-};
-
 class TransitionSystem {
  public:
   /// Assembles a system over `mgr` (which must already own the 2 *
   /// num_state_vars BDD variables).  `initial` and every prop function are
   /// over unprimed variables; each element of `partition` relates unprimed
-  /// to primed, combining per `kind`.  `props` maps registry ids to
+  /// to primed, and T is their disjunction.  `props` maps registry ids to
   /// characteristic functions; `index_set` mirrors
   /// kripke::Structure::index_set for the index quantifiers.  The raw
   /// handles are rooted (BddRef) before any further BDD operation runs, so
   /// callers may pass unrooted results built under a protect_scope.
   TransitionSystem(std::shared_ptr<BddManager> mgr, std::uint32_t num_state_vars,
-                   Bdd initial, std::vector<Bdd> partition, PartitionKind kind,
+                   Bdd initial, std::vector<Bdd> partition,
                    kripke::PropRegistryPtr registry,
                    std::vector<std::pair<kripke::PropId, Bdd>> props,
                    std::vector<std::uint32_t> index_set);
 
   /// Single-partition convenience (the explicit bridge and legacy callers):
-  /// a monolithic `transitions` BDD is a one-element disjunctive partition.
+  /// a monolithic `transitions` BDD is a one-element partition.
   TransitionSystem(std::shared_ptr<BddManager> mgr, std::uint32_t num_state_vars,
                    Bdd initial, Bdd transitions, kripke::PropRegistryPtr registry,
                    std::vector<std::pair<kripke::PropId, Bdd>> props,
@@ -88,9 +78,8 @@ class TransitionSystem {
   [[nodiscard]] std::uint32_t num_state_vars() const noexcept { return num_state_vars_; }
   [[nodiscard]] Bdd initial() const noexcept { return initial_.get(); }
 
-  /// The partitioned relation (system-rooted refs) and how it combines.
+  /// The partitioned relation (system-rooted refs); T is their disjunction.
   [[nodiscard]] std::span<const BddRef> partition() const noexcept { return parts_; }
-  [[nodiscard]] PartitionKind partition_kind() const noexcept { return kind_; }
 
   /// The monolithic T(x, x') — combined lazily on first request, cached and
   /// system-rooted; the image primitives never need it.
@@ -107,10 +96,10 @@ class TransitionSystem {
   [[nodiscard]] BddRef post_image(Bdd states) const;
 
   /// Least fixpoint of I | post_image(.), computed once, cached and
-  /// system-rooted.  A disjunctive partition is chained: within one sweep
-  /// each part's image feeds the next part immediately (Ravi–Somenzi style),
-  /// which collapses the long token-passing diameters of the ring family
-  /// into a handful of sweeps.
+  /// system-rooted.  A partition of several parts is chained: within one
+  /// sweep each part's image feeds the next part immediately (Ravi–Somenzi
+  /// style), which collapses the long token-passing diameters of the ring
+  /// family into a handful of sweeps.  A single part iterates frontiers.
   [[nodiscard]] Bdd reachable() const;
 
   /// Installs a precomputed reachable set (the bdd_store loader's path:
@@ -129,17 +118,12 @@ class TransitionSystem {
     return props_;
   }
 
-  /// Number of states in a set-BDD over unprimed variables (primed
-  /// variables must not occur in its support) — double view, 2^53-limited.
-  [[nodiscard]] double count_states(Bdd set) const;
+  /// Exact number of states in a set-BDD over unprimed variables (primed
+  /// variables must not occur in its support).
+  [[nodiscard]] SatCount count_states(Bdd set) const;
 
-  /// Exact count of states in a set-BDD over unprimed variables.
-  [[nodiscard]] SatCount count_states_exact(Bdd set) const;
-
-  [[nodiscard]] double num_reachable() const { return count_states(reachable()); }
-
-  /// Exact reachable-state count (the precision-safe num_reachable).
-  [[nodiscard]] SatCount num_states() const { return count_states_exact(reachable()); }
+  /// Exact reachable-state count.
+  [[nodiscard]] SatCount num_states() const { return count_states(reachable()); }
 
   /// Characteristic function of a proposition; nullopt when the system
   /// carries no function for it.
@@ -156,10 +140,9 @@ class TransitionSystem {
   /// BddManager::audit): supports lie inside the declared variable sets
   /// (parts over the interleaved pairs, initial/props/reachable over
   /// unprimed variables only), the prime/unprime rename maps are mutual
-  /// inverses over the state pairs, the early-quantification schedule
-  /// quantifies each variable exactly at the last part mentioning it, and —
-  /// once computed — reachable() contains the initial states and is closed
-  /// under post_image.
+  /// inverses over the state pairs, the quantification cubes span their
+  /// halves, and — once computed — reachable() contains the initial states
+  /// and is closed under post_image.
   [[nodiscard]] BddManager::AuditReport audit() const;
 
   /// Throws Error listing every failure when audit() fails.  The ICTL_AUDIT
@@ -169,17 +152,10 @@ class TransitionSystem {
  private:
   friend struct AuditInjector;  // tests/symbolic/audit_test.cpp: seeds
                                 // corruption to prove each check fires
-  /// Computes the early-quantification schedules (conjunctive partitions):
-  /// for each part, the cube of primed (pre) / unprimed (post) variables
-  /// whose last mention across the partition order is that part, plus the
-  /// leading cube of state variables no part mentions at all.
-  void build_quantification_schedule();
-
   std::shared_ptr<BddManager> mgr_;
   std::uint32_t num_state_vars_;
   BddRef initial_;
   std::vector<BddRef> parts_;
-  PartitionKind kind_;
   kripke::PropRegistryPtr registry_;
   std::vector<std::pair<kripke::PropId, BddRef>> props_;  // sorted by PropId
   std::vector<std::uint32_t> index_set_;
@@ -187,11 +163,6 @@ class TransitionSystem {
   BddRef primed_cube_;
   std::vector<std::uint32_t> to_primed_;    // rename map: 2v -> 2v+1
   std::vector<std::uint32_t> to_unprimed_;  // rename map: 2v+1 -> 2v
-  // Early-quantification schedule (conjunctive partitions only).
-  std::vector<BddRef> pre_schedule_cubes_;   // primed vars last mentioned at part k
-  std::vector<BddRef> post_schedule_cubes_;  // unprimed vars last mentioned at part k
-  BddRef pre_leading_cube_;                  // primed vars mentioned by no part
-  BddRef post_leading_cube_;                 // unprimed vars mentioned by no part
   mutable std::optional<BddRef> monolithic_;
   mutable std::optional<BddRef> reachable_;
 };

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -127,3 +128,15 @@ section_five_properties() {
 }
 
 }  // namespace ictl::testing
+
+namespace ictl::symbolic {
+
+/// GoogleTest printer: a failed SatCount comparison shows the exact count.
+inline void PrintTo(const SatCount& count, std::ostream* os) {
+  if (count.exponent >= 0)
+    *os << count.to_decimal_string();
+  else
+    *os << count.to_double();
+}
+
+}  // namespace ictl::symbolic

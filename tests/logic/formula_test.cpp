@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "support/error.hpp"
 
 namespace ictl::logic {
@@ -107,6 +110,21 @@ TEST(Formula, NodeIdsAreNeverReused) {
   }
   const FormulaPtr rebuilt = make_until(atom("id_dead_a"), atom("id_dead_b"));
   EXPECT_GT(rebuilt->id(), dead_id);
+}
+
+TEST(Formula, HashConsTableStaysBoundedUnderChurn) {
+  // 120k distinct formulas (240k nodes), each dropped at once: the expired
+  // table entries they leave behind must be swept, not accumulate.
+  const FormulaPtr kept = make_and(atom("churn_kept"), atom("churn_q"));
+  const std::size_t bound = 2 * hash_cons_table_size() + 4096;
+  std::size_t peak = 0;
+  for (int i = 0; i < 120000; ++i) {
+    const FormulaPtr f = make_and(atom("churn_" + std::to_string(i)), atom("churn_q"));
+    peak = std::max(peak, hash_cons_table_size());
+  }
+  EXPECT_LE(peak, bound);
+  // Sweeping dropped only dead entries: live formulas keep their identity.
+  EXPECT_EQ(make_and(atom("churn_kept"), atom("churn_q")).get(), kept.get());
 }
 
 }  // namespace

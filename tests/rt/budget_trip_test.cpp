@@ -2,8 +2,8 @@
 // leaves every engine consistent and reusable.  Each test installs a tight
 // ResourceBudget (or arms a deterministic failpoint), drives a query until
 // the typed error unwinds, then — with the scope closed — audits the
-// touched managers (audit(kFull) via check_invariants) and re-runs the
-// same query unbudgeted, demanding the correct answer.
+// touched managers (audit(kFull)) and re-runs the same query unbudgeted,
+// demanding the correct answer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -95,7 +95,8 @@ TEST(BudgetTrip, SymbolicIterationCapTripsAuditsCleanAndRetries) {
 
   // The scope closed with the unwind: the manager must be audit-clean and
   // the SAME checker must produce the correct answer unthrottled.
-  ASSERT_TRUE(ts->manager().check_invariants());
+  const auto rep = ts->manager().audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   const mc::SatSet want = reference_sat(m, f);
   const Bdd sym = checker.sat(f);
   for (kripke::StateId s = 0; s < m.num_states(); ++s)
@@ -122,7 +123,8 @@ TEST(BudgetTrip, NodeCapLadderTripsTypedAndManagerStaysUsable) {
     EXPECT_EQ(e.phase(), "bdd/node_cap");
   }
 
-  ASSERT_TRUE(ts->manager().check_invariants());
+  const auto rep = ts->manager().audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   const mc::SatSet want = reference_sat(m, f);
   const Bdd sym = checker.sat(f);
   for (kripke::StateId s = 0; s < m.num_states(); ++s)
@@ -146,7 +148,8 @@ TEST(BudgetTrip, GenerousNodeCapDegradesGracefullyInsteadOfTripping) {
     for (kripke::StateId s = 0; s < m.num_states(); ++s)
       EXPECT_EQ(contains(*ts, sym, s), want.test(s)) << "state " << s;
   }
-  ASSERT_TRUE(ts->manager().check_invariants());
+  const auto rep = ts->manager().audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(BudgetTrip, ExplicitEngineWorkCapTripsAndRetries) {
@@ -208,7 +211,8 @@ TEST(BudgetTrip, CancellationUnwindsAsInterrupted) {
     FAIL() << "cancellation never observed";
   } catch (const Interrupted&) {
   }
-  ASSERT_TRUE(ts->manager().check_invariants());
+  const auto rep = ts->manager().audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   const mc::SatSet want = reference_sat(m, f);
   const Bdd sym = checker.sat(f);
   for (kripke::StateId s = 0; s < m.num_states(); ++s)
@@ -256,7 +260,8 @@ TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
     } catch (const Interrupted&) {
       EXPECT_EQ(armed_failpoints(), 0u) << site << " is not one-shot";
     }
-    ASSERT_TRUE(ts->manager().check_invariants()) << "after " << site;
+    const auto rep = ts->manager().audit();
+    ASSERT_TRUE(rep.ok()) << "after " << site << ":\n" << rep.to_string();
     const Bdd sym = checker.sat(f);  // one-shot: the retry runs through
     for (kripke::StateId s = 0; s < m.num_states(); ++s)
       EXPECT_EQ(contains(*ts, sym, s), want.test(s))
@@ -300,8 +305,9 @@ TEST(BudgetTrip, SeededRandomTripStress) {
         EXPECT_FALSE(e.phase().empty()) << "seed " << seed;
       }
 
-      ASSERT_TRUE(ts->manager().check_invariants())
-          << "seed " << seed << " round " << round;
+      const auto rep = ts->manager().audit();
+      ASSERT_TRUE(rep.ok())
+          << "seed " << seed << " round " << round << ":\n" << rep.to_string();
       if (use_symbolic) {
         const Bdd sym = symbolic_checker.sat(f);
         for (kripke::StateId s = 0; s < m.num_states(); ++s)

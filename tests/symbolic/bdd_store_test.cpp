@@ -70,7 +70,8 @@ TEST(BddStore, RoundTripPreservesOrderFunctionsAndCounts) {
   }
   // The loaded store is reduced and hash-consed by construction, and the
   // shared structure stayed shared: h reuses f's and g's nodes.
-  ASSERT_TRUE(loaded.manager->check_invariants());
+  const auto rep = loaded.manager->audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   const std::vector<Bdd> all = {loaded.root("f"), loaded.root("g"),
                                 loaded.root("h")};
   EXPECT_EQ(loaded.manager->dag_size(all),
@@ -221,7 +222,6 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
       load_transition_system(stream, reg));
 
   EXPECT_EQ(loaded->num_state_vars(), orig->num_state_vars());
-  EXPECT_EQ(loaded->partition_kind(), orig->partition_kind());
   EXPECT_EQ(loaded->partition().size(), orig->partition().size());
   EXPECT_TRUE(loaded->reachable_computed());
   EXPECT_EQ(loaded->num_states(), orig->num_states());
@@ -243,36 +243,54 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
   for (const auto& f : formulas) {
     EXPECT_EQ(after.holds_initially(f), before.holds_initially(f))
         << logic::to_string(f);
-    EXPECT_DOUBLE_EQ(after.count_sat(f), before.count_sat(f))
+    EXPECT_EQ(loaded->count_states(after.sat(f)), orig->count_states(before.sat(f)))
         << logic::to_string(f);
   }
 }
 
-TEST(BddStoreTransitionSystem, ConjunctivePartitionKindSurvives) {
-  constexpr std::uint32_t kVars = 3;
-  auto mgr = std::make_shared<BddManager>(2 * kVars);
+TEST(BddStoreTransitionSystem, NonzeroKindSlotIsRejected) {
+  // The header keeps its partition-kind slot; the only kind is disjunctive
+  // (0), so a store whose slot says otherwise is corrupt — even with a
+  // valid checksum — and must fail with a typed Error, not load.
   auto reg = kripke::make_registry();
-  const auto scope = mgr->protect_scope();
-  std::vector<Bdd> parts;
-  for (std::uint32_t v = 0; v < kVars; ++v)
-    parts.push_back(mgr->bdd_iff(
-        mgr->var(TransitionSystem::primed(v)),
-        mgr->bdd_not(mgr->var(TransitionSystem::unprimed((v + 1) % kVars)))));
-  const Bdd initial = state_minterm(*mgr, kVars, 0, false);
-  const TransitionSystem orig(mgr, kVars, initial, parts,
-                              PartitionKind::kConjunctive, reg, {}, {});
-
+  const auto m = testing::random_structure(reg, 9, 5);
+  const TransitionSystem orig = from_structure(m);
   std::stringstream stream;
   save_transition_system(orig, stream);
-  const TransitionSystem loaded = load_transition_system(stream, reg);
-  EXPECT_EQ(loaded.partition_kind(), PartitionKind::kConjunctive);
-  EXPECT_EQ(loaded.partition().size(), kVars);
-  // The fixpoint was never computed, so it must not have been saved...
-  EXPECT_FALSE(loaded.reachable_computed());
-  // ...and recomputing it on the loaded side matches the original.
-  EXPECT_EQ(loaded.num_states(), orig.num_states());
-  EXPECT_EQ(loaded.manager().sat_count_exact(loaded.initial()),
-            mgr->sat_count_exact(orig.initial()));
+  const std::string blob = stream.str();
+
+  // Header layout: magic(8) version(4) num_state_vars(4) kind(4)
+  // num_parts(4) num_props(4) props(4 each) num_indices(4) indices(4 each)
+  // reach flag(4), then the FNV-1a checksum of those bytes (8).
+  constexpr std::size_t kKindAt = 16;
+  const std::size_t header_len = 8 + 4 + 4 + 4 + 4 + 4 + 4 * orig.props().size() + 4 +
+                                 4 * orig.index_set().size() + 4;
+  const auto header_checksum = [&](const std::string& bytes) {
+    std::uint64_t fnv = 0xcbf29ce484222325ULL;
+    for (std::size_t i = 0; i < header_len; ++i)
+      fnv = (fnv ^ static_cast<unsigned char>(bytes[i])) * 0x100000001b3ULL;
+    return fnv;
+  };
+  // The layout above is right: the writer's 0 sits in the slot and the
+  // recomputed checksum matches the stored one.
+  ASSERT_EQ(blob.substr(kKindAt, 4), std::string(4, '\0'));
+  std::string resealed = blob;
+  patch_le<std::uint64_t>(resealed, header_len, header_checksum(blob));
+  ASSERT_EQ(resealed, blob);
+
+  for (const std::uint32_t kind : {1u, 2u, 0xffffffffu}) {
+    std::string corrupt = blob;
+    patch_le<std::uint32_t>(corrupt, kKindAt, kind);
+    patch_le<std::uint64_t>(corrupt, header_len, header_checksum(corrupt));
+    std::stringstream in(corrupt);
+    try {
+      static_cast<void>(load_transition_system(in, reg));
+      FAIL() << "partition-kind slot " << kind << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("partition kind"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
@@ -301,7 +319,6 @@ TEST(BddStoreTransitionSystem, M64RingRoundTripIsExactAndFast) {
   EXPECT_TRUE(loaded->reachable_computed());
   EXPECT_EQ(loaded->num_states(), states);
   EXPECT_EQ(loaded->partition().size(), ring.system->partition().size());
-  EXPECT_EQ(loaded->partition_kind(), ring.system->partition_kind());
   EXPECT_EQ(loaded->num_state_vars(), ring.system->num_state_vars());
   EXPECT_EQ(loaded->manager().sat_count_exact(loaded->initial()),
             ring.system->manager().sat_count_exact(ring.system->initial()));

@@ -234,31 +234,59 @@ TEST(BddManager, ComputedCacheHits) {
 }
 
 TEST(BddManager, ReorderHookFiresOnGrowth) {
+  // The growth trigger behind enable_dynamic_reordering: the first sift
+  // fires once the node table crosses the threshold, which then doubles, so
+  // firings grow only logarithmically with the table.
+  constexpr std::size_t kThreshold = 64;
   BddManager mgr(16);
-  std::vector<std::size_t> observed;
-  mgr.set_reorder_hook(
-      [&](BddManager&, std::size_t live) { observed.push_back(live); },
-      /*threshold=*/64);
-  // Build something with plenty of distinct nodes: a parity chain plus
-  // scattered conjunctions.
-  Bdd parity = kBddFalse;
-  for (std::uint32_t v = 0; v < 16; ++v) parity = mgr.bdd_xor(parity, mgr.var(v));
-  Bdd mixed = kBddTrue;
-  for (std::uint32_t v = 0; v + 1 < 16; ++v)
-    mixed = mgr.bdd_and(mixed, mgr.bdd_or(mgr.var(v), mgr.bdd_not(mgr.var(v + 1))));
-  EXPECT_FALSE(observed.empty());
-  EXPECT_GE(observed.front(), 64u);
-  EXPECT_EQ(mgr.stats().reorder_hook_calls, observed.size());
-  // Threshold doubling: consecutive firings see strictly growing counts.
-  for (std::size_t i = 1; i < observed.size(); ++i)
-    EXPECT_GT(observed[i], observed[i - 1]);
-  // Detaching stops further firings.
-  mgr.set_reorder_hook(nullptr);
-  const std::size_t calls = mgr.stats().reorder_hook_calls;
-  Bdd more = kBddFalse;
+  std::vector<BddRef> pos, neg;
+  for (std::uint32_t v = 0; v < 16; ++v) {
+    pos.push_back(mgr.var(v));
+    neg.push_back(mgr.nvar(v));
+  }
+  ASSERT_LT(mgr.num_nodes(), kThreshold);
+  mgr.enable_dynamic_reordering(kThreshold);
+  // Each step is ONE public operation, so a firing is attributed to the
+  // table size it saw.  Roots survive every sift.
+  std::vector<std::size_t> fired_at;  // table size after each op that fired
+  const auto step = [&](BddRef& acc, auto&& op) {
+    const std::size_t calls = mgr.stats().reorder_hook_calls;
+    const std::size_t before = mgr.num_nodes();
+    acc = op();
+    if (mgr.stats().reorder_hook_calls != calls) {
+      EXPECT_EQ(mgr.stats().reorder_hook_calls, calls + 1);
+      if (fired_at.empty()) {
+        EXPECT_LT(before, kThreshold);  // fired at the crossing, not later
+      }
+      fired_at.push_back(mgr.num_nodes());
+    }
+  };
+  // Plenty of distinct nodes: a parity chain, scattered conjunctions, and
+  // a disjunction of parity cofactors.
+  BddRef parity(mgr, kBddFalse);
   for (std::uint32_t v = 0; v < 16; ++v)
-    more = mgr.bdd_or(more, mgr.bdd_and(mgr.var(v), parity));
-  EXPECT_EQ(mgr.stats().reorder_hook_calls, calls);
+    step(parity, [&] { return mgr.bdd_xor(parity, pos[v]); });
+  BddRef mixed(mgr, kBddTrue), clause;
+  for (std::uint32_t v = 0; v + 1 < 16; ++v) {
+    step(clause, [&] { return mgr.bdd_or(pos[v], neg[v + 1]); });
+    step(mixed, [&] { return mgr.bdd_and(mixed, clause); });
+  }
+  BddRef more(mgr, kBddFalse), cofactor;
+  for (std::uint32_t v = 0; v < 16; ++v) {
+    step(cofactor, [&] { return mgr.bdd_and(pos[v], parity); });
+    step(more, [&] { return mgr.bdd_or(more, cofactor); });
+  }
+
+  ASSERT_GE(fired_at.size(), 2u);
+  EXPECT_EQ(mgr.stats().reorder_hook_calls, fired_at.size());
+  EXPECT_EQ(mgr.stats().sift_passes, fired_at.size());  // every firing sifted
+  // Threshold doubling: firing i needs a table of at least kThreshold * 2^i.
+  for (std::size_t i = 0; i < fired_at.size(); ++i)
+    EXPECT_GE(fired_at[i], kThreshold << i) << "firing " << i;
+  // Sifting kept every rooted function.
+  EXPECT_DOUBLE_EQ(mgr.sat_count(parity), std::ldexp(1.0, 15));
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(BddManager, NewVarExtendsUniverse) {

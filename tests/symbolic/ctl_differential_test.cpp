@@ -194,8 +194,7 @@ TEST_P(RingDifferential, RandomFormulasAgreeStateForState) {
           << "r=" << r << " state " << s << " " << logic::to_string(f);
     }
     // And the sat-set sizes line up (catches onto-ness, not just inclusion).
-    EXPECT_DOUBLE_EQ(symbolic_checker.count_sat(f),
-                     static_cast<double>(expected.count()))
+    EXPECT_EQ(sym.system->count_states(actual), SatCount::make(expected.count()))
         << "r=" << r << " " << logic::to_string(f);
   }
 }
@@ -247,7 +246,7 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
   // states): reorders sweep the dead fixpoint intermediates instead of
   // dragging them through every swap.  At r = 16 the per-state comparison
   // samples a coprime stride and the full sat-set is pinned exactly via
-  // count_sat; smaller sizes stay exhaustive.
+  // its exact state count; smaller sizes stay exhaustive.
   for (const std::uint32_t r : {3u, 5u, 8u, 16u}) {
     auto reg = kripke::make_registry();
     const auto explicit_sys = testing::ring_of(r, reg);
@@ -261,10 +260,9 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
       auto mgr = std::make_shared<BddManager>(num_bdd_vars);
       if (variant != 0)  // scrambled order (alone, then with sifting on top)
         mgr->set_initial_order(scrambled_pair_order(num_bdd_vars, 41u * r + variant));
-      SymbolicRingOptions options;
-      options.dynamic_reordering = variant != 1;
-      options.reorder_threshold = r >= 16 ? 4096 : 256;
-      const SymbolicRing sym = build_symbolic_ring(r, mgr, reg, options);
+      const bool sift = variant != 1;
+      const SymbolicRing sym = build_symbolic_ring(r, mgr, reg);
+      if (sift) mgr->enable_dynamic_reordering(r >= 16 ? 4096 : 256);
       CtlChecker symbolic_checker(sym.system);
 
       for (const auto& [name, f] : testing::section_five_properties())
@@ -284,11 +282,10 @@ TEST(ThreeEngineDifferential, SurvivesSiftingAndRandomInitialOrders) {
               << logic::to_string(f);
         // The exact set sizes agree — with a strided sample above this pins
         // the whole set far harder than the sample alone.
-        EXPECT_DOUBLE_EQ(symbolic_checker.count_sat(f),
-                         static_cast<double>(expected.count()))
+        EXPECT_EQ(sym.system->count_states(actual), SatCount::make(expected.count()))
             << "r=" << r << " variant=" << variant << " " << logic::to_string(f);
       }
-      if (options.dynamic_reordering) {
+      if (sift) {
         EXPECT_GE(mgr->stats().sift_passes, 1u)
             << "r=" << r << " variant=" << variant
             << ": the sift trigger never fired, so this leg proved nothing";

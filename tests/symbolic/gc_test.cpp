@@ -3,7 +3,7 @@
 // garbage collector (leak gate: live_nodes returns to its pre-scope
 // baseline once the scope's intermediates die), the retired-handle hard
 // errors, the pause/resume balance check, and a randomized op/ref-drop
-// stress suite that audits check_invariants() after every sweep and
+// stress suite that audits the manager after every sweep and
 // reorder against shadow truth tables.
 #include <gtest/gtest.h>
 
@@ -95,7 +95,8 @@ TEST(BddRefSemantics, CopyMoveAssignAndResetDriveTheRootCounts) {
   // Now dead; a sweep retires it.
   EXPECT_GT(mgr.garbage_collect(), 0u);
   EXPECT_TRUE(mgr.is_retired(node));
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(GcLeakGate, LiveNodesReturnToPreScopeBaselineAfterScopeExits) {
@@ -131,7 +132,8 @@ TEST(GcLeakGate, LiveNodesReturnToPreScopeBaselineAfterScopeExits) {
   EXPECT_EQ(mgr.live_nodes(), baseline);
   EXPECT_GE(mgr.stats().gc_runs, gc_runs_before + 1);
   EXPECT_GT(mgr.stats().gc_retired, 0u);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // The durable roots kept their functions through the sweep.
   EXPECT_EQ(truth6(mgr, keep[0]), t0);
   EXPECT_EQ(truth6(mgr, keep[1]), t1);
@@ -150,7 +152,8 @@ TEST(Gc, ProtectOnRetiredHandleIsAHardError) {
   // therefore BddRef construction) must refuse in every build type.
   EXPECT_THROW(mgr.protect(dead), Error);
   EXPECT_THROW(static_cast<void>(BddRef(mgr, dead)), Error);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(Reorder, ResumeWithoutMatchingPauseIsAHardError) {
@@ -192,7 +195,8 @@ TEST(Gc, DeadNodesReviveOnUniqueTableHitUntilSwept) {
   EXPECT_NE(fresh.get(), first);
   EXPECT_FALSE(mgr.is_retired(fresh.get()));
   EXPECT_EQ(truth6(mgr, fresh), var_table(0) & var_table(1));
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(Gc, AutoGcSweepsTransientsAndKeepsRoots) {
@@ -209,7 +213,8 @@ TEST(Gc, AutoGcSweepsTransientsAndKeepsRoots) {
   EXPECT_GE(mgr.stats().gc_runs, 1u);
   EXPECT_GT(mgr.stats().gc_retired, 0u);
   EXPECT_LT(mgr.live_nodes(), mgr.num_nodes());
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // The rooted accumulator survived every sweep with its function intact.
   std::vector<bool> assignment(10, false);
   assignment[0] = true;
@@ -241,13 +246,14 @@ TEST(Gc, SweepInvalidatesTheComputedCacheByEpoch) {
   EXPECT_NE(recomputed.get(), stale);
   EXPECT_FALSE(mgr.is_retired(recomputed.get()));
   EXPECT_EQ(truth6(mgr, recomputed), truth6(mgr, f) & truth6(mgr, g));
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(GcStress, RandomizedOpsSweepsAndReordersPreserveSemantics) {
   // Random op/ref-drop sequences with a shadow truth table per root:
   // every sweep and every reorder must leave the manager consistent
-  // (check_invariants) and every still-rooted function unchanged.
+  // (audit) and every still-rooted function unchanged.
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     BddManager mgr(6);
     if (seed % 2 == 0) mgr.enable_auto_gc(/*slack=*/48);
@@ -257,8 +263,10 @@ TEST(GcStress, RandomizedOpsSweepsAndReordersPreserveSemantics) {
       pool.emplace_back(mgr.var(v), var_table(v));
 
     const auto audit = [&](const char* when, int step) {
-      ASSERT_TRUE(mgr.check_invariants())
-          << when << " at step " << step << ", seed " << seed;
+      const auto rep = mgr.audit();
+      ASSERT_TRUE(rep.ok())
+          << when << " at step " << step << ", seed " << seed << ":\n"
+          << rep.to_string();
       for (const auto& [ref, table] : pool) {
         ASSERT_FALSE(mgr.is_retired(ref.get()))
             << when << " retired a rooted node, step " << step;
@@ -326,7 +334,8 @@ TEST(GcStress, RandomizedOpsSweepsAndReordersPreserveSemantics) {
     pool.clear();
     static_cast<void>(mgr.garbage_collect());
     EXPECT_EQ(mgr.live_nodes(), 0u) << "seed " << seed;
-    ASSERT_TRUE(mgr.check_invariants()) << "seed " << seed;
+    const auto rep = mgr.audit();
+    ASSERT_TRUE(rep.ok()) << "seed " << seed << ":\n" << rep.to_string();
     EXPECT_GE(mgr.stats().gc_runs, 16u) << "seed " << seed;
   }
 }

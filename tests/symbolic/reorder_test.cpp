@@ -50,7 +50,8 @@ TEST(AdjacentSwap, PreservesFunctionsNodeCountsAndCanonicity) {
 
   for (std::uint32_t lvl = 0; lvl + 1 < mgr.num_vars(); ++lvl) {
     mgr.swap_adjacent_levels(lvl);
-    ASSERT_TRUE(mgr.check_invariants()) << "after swap at level " << lvl;
+    const auto rep = mgr.audit();
+    ASSERT_TRUE(rep.ok()) << "after swap at level " << lvl << ":\n" << rep.to_string();
     // Handles survive: every pool entry still denotes its function.
     for (std::size_t i = 0; i < pool.size(); ++i)
       EXPECT_EQ(truth_table(mgr, pool[i], 6), tables[i]) << "swap at " << lvl;
@@ -61,7 +62,9 @@ TEST(AdjacentSwap, PreservesFunctionsNodeCountsAndCanonicity) {
     EXPECT_EQ(mgr.bdd_xor(mgr.var(0), mgr.var(3)), pool[0]);
     // Swap back: node counts are conserved, not merely bounded.
     mgr.swap_adjacent_levels(lvl);
-    ASSERT_TRUE(mgr.check_invariants());
+    const auto back = mgr.audit();
+    ASSERT_TRUE(back.ok()) << "after swap-back at level " << lvl << ":\n"
+                           << back.to_string();
     EXPECT_EQ(mgr.live_nodes(), live_before) << "swap-back at " << lvl;
     for (std::size_t i = 0; i < pool.size(); ++i)
       EXPECT_EQ(mgr.dag_size(pool[i]),
@@ -81,7 +84,8 @@ TEST(AdjacentSwap, SymmetricFunctionSizeIsOrderInvariant) {
   for (std::uint32_t lvl = 0; lvl + 1 < 8; ++lvl) {
     mgr.swap_adjacent_levels(lvl);
     EXPECT_EQ(mgr.dag_size(parity), size) << "level " << lvl;
-    ASSERT_TRUE(mgr.check_invariants());
+    const auto rep = mgr.audit();
+    ASSERT_TRUE(rep.ok()) << rep.to_string();
   }
 }
 
@@ -107,7 +111,8 @@ TEST(Sifting, RecoversFromAdversarialOrder) {
   BddManager::ReorderOptions opts;
   opts.group_pairs = false;  // plain single-variable sifting
   const std::size_t live_after = mgr.reorder_now(opts);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_LE(mgr.dag_size(f), 3 * kPairs);  // linear-sized order found
   EXPECT_EQ(live_after, mgr.live_nodes());
   EXPECT_EQ(mgr.stats().sift_passes, 1u);
@@ -132,7 +137,8 @@ TEST(Sifting, GroupSiftingKeepsPairBlocksIntact) {
   const BddRef g = mgr.bdd_and(f, mgr.bdd_iff(mgr.var(1), mgr.var(11)));
   static_cast<void>(g.get());
   mgr.reorder_now();  // group_pairs defaults to true
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   for (std::uint32_t v = 0; v < kVars; v += 2)
     EXPECT_EQ(mgr.level_of_var(v + 1), mgr.level_of_var(v) + 1)
         << "pair (" << v << ", " << v + 1 << ") split by group sifting";
@@ -195,7 +201,8 @@ TEST(Reorder, DynamicReorderingTriggersSiftOnGrowth) {
   EXPECT_GE(mgr.stats().reorder_hook_calls, 1u);
   EXPECT_GE(mgr.stats().sift_passes, 1u);
   EXPECT_EQ(mgr.stats().sift_passes, mgr.reorder_count());
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // Everything still evaluates correctly after however many sifts fired.
   std::vector<bool> assignment(16, true);
   EXPECT_TRUE(mgr.eval(acc, assignment));
@@ -205,7 +212,7 @@ TEST(Reorder, DynamicReorderingTriggersSiftOnGrowth) {
 // ---- The randomized-order differential (satellite) --------------------------
 
 struct RingExpectation {
-  double reachable = 0;
+  SatCount reachable;
   std::vector<bool> verdicts;  // Section 5 specs, in order
 };
 
@@ -213,7 +220,7 @@ RingExpectation expected_for(std::uint32_t r) {
   const SymbolicRing ring = build_symbolic_ring(r);
   CtlChecker checker(ring.system);
   RingExpectation e;
-  e.reachable = ring.system->num_reachable();
+  e.reachable = ring.system->num_states();
   for (const auto& [name, f] : ring::section5_specifications())
     e.verdicts.push_back(checker.holds_initially(f));
   return e;
@@ -241,18 +248,15 @@ TEST(RandomizedOrder, CountsAndVerdictsAreOrderInvariant) {
       const std::uint32_t num_bdd_vars = 2 * (2 * r + 1);
       auto mgr = std::make_shared<BddManager>(num_bdd_vars);
       mgr->set_initial_order(scrambled_pair_order(num_bdd_vars, seed));
-      SymbolicRingOptions options;
-      options.dynamic_reordering = sift;
+      const SymbolicRing ring = build_symbolic_ring(r, mgr);
       // Low enough to fire for real at every size, high enough that the
       // larger rings don't spend the whole test resifting.
-      options.reorder_threshold = r <= 5 ? 128 : (r <= 8 ? 2048 : 8192);
-      const SymbolicRing ring = build_symbolic_ring(r, mgr, nullptr, options);
+      if (sift) mgr->enable_dynamic_reordering(r <= 5 ? 128 : (r <= 8 ? 2048 : 8192));
       CtlChecker checker(ring.system);
 
-      EXPECT_DOUBLE_EQ(ring.system->num_reachable(), want.reachable)
+      EXPECT_EQ(ring.system->num_states(), want.reachable)
           << "r=" << r << " seed=" << seed << " sift=" << sift;
-      EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                       static_cast<double>(ring::ring_state_count(r)));
+      EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)));
       for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(checker.holds_initially(specs[i].second), want.verdicts[i])
             << "r=" << r << " seed=" << seed << " sift=" << sift << " spec "
@@ -260,36 +264,33 @@ TEST(RandomizedOrder, CountsAndVerdictsAreOrderInvariant) {
       if (sift) {
         EXPECT_GE(mgr->stats().sift_passes, 1u)
             << "threshold never fired; the sift leg tested nothing";
-        ASSERT_TRUE(mgr->check_invariants());
+        const auto rep = mgr->audit();
+        ASSERT_TRUE(rep.ok()) << rep.to_string();
       }
     }
   }
 }
 
 TEST(Reorder, SharedManagerSecondBuildIsSafeFromInheritedHook) {
-  // Regression: a dynamic_reordering build leaves its growth hook on the
-  // manager; a LATER build on the same (supported-to-share) manager must
-  // not let that hook sift mid-chain-construction — the constraint-chain
+  // Regression: a manager with dynamic reordering armed after one build; a
+  // LATER build on the same (supported-to-share) manager must not let the
+  // growth trigger sift mid-chain-construction — the constraint-chain
   // builders assume a frozen order, and an unlucky firing used to trip the
   // order-invariant assertion.  build_symbolic_ring now runs the whole
   // build under a protect_scope, which defers both reordering and GC until
   // the system has rooted its parts.
   auto mgr = std::make_shared<BddManager>(2 * (2 * 24 + 1));
   auto reg = kripke::make_registry();
-  SymbolicRingOptions options;
-  options.dynamic_reordering = true;
-  options.reorder_threshold = 256;
-  const SymbolicRing first = build_symbolic_ring(6, mgr, reg, options);
-  EXPECT_DOUBLE_EQ(first.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(6)));
+  const SymbolicRing first = build_symbolic_ring(6, mgr, reg);
+  mgr->enable_dynamic_reordering(256);
+  EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
   // The second build grows the table well past every doubled threshold, so
-  // without the pause the inherited hook fires mid-build.
+  // without the pause the armed trigger fires mid-build.
   const SymbolicRing second = build_symbolic_ring(24, mgr, reg);
-  EXPECT_DOUBLE_EQ(second.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(24)));
-  EXPECT_DOUBLE_EQ(first.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(6)));
-  ASSERT_TRUE(mgr->check_invariants());
+  EXPECT_EQ(second.system->num_states(), SatCount::make(ring::ring_state_count(24)));
+  EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
+  const auto rep = mgr->audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST(RandomizedOrder, ExplicitSiftOnScrambledRingShrinksOrMatches) {
@@ -304,9 +305,9 @@ TEST(RandomizedOrder, ExplicitSiftOnScrambledRingShrinksOrMatches) {
   const std::size_t before = mgr->live_nodes();
   const std::size_t after = mgr->reorder_now();
   EXPECT_LE(after, before);
-  ASSERT_TRUE(mgr->check_invariants());
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(r)));
+  const auto rep = mgr->audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)));
 }
 
 }  // namespace

@@ -18,10 +18,8 @@ namespace {
 TEST(SymbolicRing, ReachableCountIsRTimesTwoToTheR) {
   for (const std::uint32_t r : {2u, 3u, 4u, 5u, 6u, 8u, 10u}) {
     const SymbolicRing ring = build_symbolic_ring(r);
-    EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                     static_cast<double>(ring::ring_state_count(r)))
+    EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(r)))
         << "r = " << r;
-    // The exact counter agrees on these (still double-exact) sizes.
     EXPECT_EQ(ring.system->num_states(), SatCount::make(r, r)) << "r = " << r;
   }
 }
@@ -39,7 +37,7 @@ TEST(SymbolicRing, EveryExplicitStateIsReachableAndViceVersa) {
       EXPECT_TRUE(sym.system->manager().eval(reach, sym.assignment(explicit_sys.state(s))))
           << "r = " << r << " state " << s;
     // ...and the counts agree, so the map is onto.
-    EXPECT_DOUBLE_EQ(sym.system->num_reachable(), static_cast<double>(n));
+    EXPECT_EQ(sym.system->num_states(), SatCount::make(n));
   }
 }
 
@@ -48,7 +46,7 @@ TEST(SymbolicRing, InitialStateMatchesS0) {
   auto reg = kripke::make_registry();
   const auto explicit_sys = testing::ring_of(r, reg);
   const SymbolicRing sym = build_symbolic_ring(r, nullptr, reg);
-  EXPECT_DOUBLE_EQ(sym.system->count_states(sym.system->initial()), 1.0);
+  EXPECT_EQ(sym.system->count_states(sym.system->initial()), SatCount::make(1));
   const kripke::StateId s0 = explicit_sys.structure().initial();
   EXPECT_TRUE(sym.system->manager().eval(sym.system->initial(),
                                          sym.assignment(explicit_sys.state(s0))));
@@ -68,8 +66,8 @@ TEST(SymbolicRing, LabelsMatchExplicitColumns) {
       ASSERT_TRUE(states.has_value()) << reg->display(p);
       const Bdd within_reach = mgr.bdd_and(reach, *states);
       // Same count and same per-state membership as the explicit column.
-      EXPECT_DOUBLE_EQ(sym.system->count_states(within_reach),
-                       static_cast<double>(m.states_with(p).count()))
+      EXPECT_EQ(sym.system->count_states(within_reach),
+                SatCount::make(m.states_with(p).count()))
           << "r = " << r << " " << reg->display(p);
       for (kripke::StateId s = 0; s < m.num_states(); ++s)
         EXPECT_EQ(mgr.eval(*states, sym.assignment(explicit_sys.state(s))),
@@ -98,7 +96,7 @@ TEST(SymbolicRing, ImagesAgreeWithExplicitTransitions) {
       singleton = mgr.bdd_and(singleton,
                               bits[TransitionSystem::unprimed(v)] ? x : mgr.bdd_not(x));
     }
-    ASSERT_DOUBLE_EQ(sym.system->count_states(singleton), 1.0);
+    ASSERT_EQ(sym.system->count_states(singleton), SatCount::make(1));
 
     const Bdd pre = sym.system->pre_image(singleton);
     const Bdd post = sym.system->post_image(singleton);
@@ -119,8 +117,7 @@ TEST(SymbolicRing, BuildsPastTheExplicitWall) {
   EXPECT_THROW(static_cast<void>(ring::RingSystem::build(32)), ModelError);
   // ...the symbolic engine builds it and counts 32 * 2^32 reachable states.
   const SymbolicRing ring = build_symbolic_ring(32);
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(32)));
+  EXPECT_EQ(ring.system->num_states(), SatCount::make(ring::ring_state_count(32)));
 }
 
 TEST(SymbolicRing, ChecksSectionFiveAgPropertiesAtThirtyTwo) {
@@ -133,8 +130,9 @@ TEST(SymbolicRing, ChecksSectionFiveAgPropertiesAtThirtyTwo) {
   EXPECT_TRUE(checker.holds_initially(ring::invariant_one_token()));
   // And the sat sets are exactly the reachable states: every one of the
   // 32 * 2^32 states satisfies both.
-  EXPECT_DOUBLE_EQ(checker.count_sat(ring::property_critical_implies_token()),
-                   static_cast<double>(ring::ring_state_count(32)));
+  EXPECT_EQ(ring.system->count_states(
+                checker.sat(ring::property_critical_implies_token())),
+            SatCount::make(ring::ring_state_count(32)));
 }
 
 TEST(SymbolicRing, SharedRegistryAlignsPropIds) {
@@ -161,10 +159,8 @@ TEST(SymbolicRing, SharedManagerAcrossSizes) {
   auto reg = kripke::make_registry();
   const SymbolicRing small = build_symbolic_ring(3, mgr, reg);
   const SymbolicRing big = build_symbolic_ring(5, mgr, reg);
-  EXPECT_DOUBLE_EQ(big.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(5)));
-  EXPECT_DOUBLE_EQ(small.system->num_reachable(),
-                   static_cast<double>(ring::ring_state_count(3)));
+  EXPECT_EQ(big.system->num_states(), SatCount::make(ring::ring_state_count(5)));
+  EXPECT_EQ(small.system->num_states(), SatCount::make(ring::ring_state_count(3)));
   // Image primitives of the small system still work after the growth:
   // every reachable state has a successor inside the reachable set (the
   // paper's totality argument), i.e. reach is a subset of its own pre-image.
@@ -175,49 +171,41 @@ TEST(SymbolicRing, SharedManagerAcrossSizes) {
 
 TEST(SymbolicRing, PartitionedRelationIsEmitted) {
   // The encoding hands TransitionSystem a rule-wise partition directly:
-  // rule-1, rule-3 and rule-4 partitions plus ceil(r/16)-by-default rule-2
-  // holder clusters — never one monolithic T.
+  // rule-1, rule-3 and rule-4 partitions plus rule-2 holder clusters of
+  // ceil(r / 16) holders — never one monolithic T.
   const SymbolicRing ring = build_symbolic_ring(20);
-  EXPECT_EQ(ring.system->partition_kind(), PartitionKind::kDisjunctive);
-  const std::uint32_t width = (20u + 15u) / 16u;  // default: ceil(r / 16)
-  EXPECT_EQ(ring.system->partition().size(), 3u + (20u + width - 1u) / width);
-  SymbolicRingOptions one_per_holder;
-  one_per_holder.holders_per_cluster = 1;
-  const SymbolicRing fine = build_symbolic_ring(6, nullptr, nullptr, one_per_holder);
-  EXPECT_EQ(fine.system->partition().size(), 3u + 6u);
+  EXPECT_EQ(ring.system->partition().size(), 3u + 10u);  // 2 holders a cluster
+  const SymbolicRing fine = build_symbolic_ring(6);
+  EXPECT_EQ(fine.system->partition().size(), 3u + 6u);  // one holder a cluster
 }
 
 TEST(SymbolicRing, ClusterWidthDoesNotChangeSemantics) {
-  const std::uint32_t r = 8;
-  std::vector<std::uint32_t> widths = {1, 3, 8};
-  for (const std::uint32_t w : widths) {
-    auto reg = kripke::make_registry();
-    SymbolicRingOptions options;
-    options.holders_per_cluster = w;
-    const SymbolicRing ring = build_symbolic_ring(r, nullptr, reg, options);
-    EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                     static_cast<double>(ring::ring_state_count(r)))
-        << "width " << w;
+  // The rule-2 cluster width is ceil(r / 16): one holder a cluster up to
+  // r = 16, two at r = 18, three at r = 34 (whose last cluster holds just
+  // one).  Every shape encodes the same M_r.
+  for (const std::uint32_t r : {8u, 18u, 34u}) {
+    const std::uint32_t width = (r + 15) / 16;
+    const SymbolicRing ring = build_symbolic_ring(r);
+    EXPECT_EQ(ring.system->partition().size(), 3u + (r + width - 1) / width)
+        << "r = " << r;
+    EXPECT_EQ(ring.system->num_states(), SatCount::make(r, r)) << "r = " << r;
     CtlChecker checker(ring.system);
     EXPECT_TRUE(checker.holds_initially(ring::property_critical_implies_token()))
-        << "width " << w;
-    EXPECT_TRUE(checker.holds_initially(ring::invariant_one_token()))
-        << "width " << w;
+        << "r = " << r;
+    EXPECT_TRUE(checker.holds_initially(ring::invariant_one_token())) << "r = " << r;
   }
 }
 
 TEST(SymbolicRing, ReachableCountExactAtCapOf256) {
   // The acceptance pin for the raised cap: M_256 builds, and its reachable
-  // count is exactly r * 2^r = 2^264 — representable exactly as a double
-  // (a power of two), so EXPECT_DOUBLE_EQ is an equality of integers here.
+  // count is exactly r * 2^r = 2^264.
   const SymbolicRing ring = build_symbolic_ring(kMaxSymbolicRingSize);
   EXPECT_EQ(ring.r, 256u);
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(), std::ldexp(1.0, 264));
-  EXPECT_DOUBLE_EQ(ring.system->num_reachable(),
-                   256.0 * std::ldexp(1.0, 256));
-  // The exact counter renders the full 80-digit integer, not a double.
   const SatCount exact = ring.system->num_states();
   EXPECT_EQ(exact, SatCount::make(1, 264));
+  EXPECT_EQ(exact, SatCount::make(256, 256));
+  EXPECT_DOUBLE_EQ(exact.to_double(), std::ldexp(1.0, 264));
+  // The exact counter renders the full 80-digit integer.
   EXPECT_EQ(exact.to_decimal_string(),
             "296427748447529460284341721622241044104371160744039843941011415060"
             "25761187823616");

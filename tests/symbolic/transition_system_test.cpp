@@ -58,7 +58,7 @@ TEST(FromStructure, ImagesMatchExplicitOnTwoStateLoop) {
   EXPECT_TRUE(contains(ts, ts.pre_image(sym_a), 1));
   EXPECT_FALSE(contains(ts, ts.post_image(sym_a), 0));
   EXPECT_TRUE(contains(ts, ts.post_image(sym_a), 1));
-  EXPECT_DOUBLE_EQ(ts.num_reachable(), 2.0);
+  EXPECT_EQ(ts.num_states(), SatCount::make(2));
 }
 
 TEST(FromStructure, ImagesMatchExplicitOnRandomStructures) {
@@ -70,7 +70,7 @@ TEST(FromStructure, ImagesMatchExplicitOnRandomStructures) {
 
     // Every reachable minterm corresponds to a real state and vice versa
     // (random_structure restricts to reachable states).
-    EXPECT_DOUBLE_EQ(ts.num_reachable(), static_cast<double>(n)) << "seed " << seed;
+    EXPECT_EQ(ts.num_states(), SatCount::make(n)) << "seed " << seed;
 
     // pre/post of a pseudo-random set agree with the CSR primitives.
     DynamicBitset set(n);
@@ -100,8 +100,7 @@ TEST(FromStructure, PropColumnsCarryOver) {
     ASSERT_TRUE(states.has_value());
     for (kripke::StateId s = 0; s < m.num_states(); ++s)
       EXPECT_EQ(contains(ts, *states, s), m.has_prop(s, p)) << "prop " << p;
-    EXPECT_DOUBLE_EQ(ts.count_states(*states),
-                     static_cast<double>(m.states_with(p).count()));
+    EXPECT_EQ(ts.count_states(*states), SatCount::make(m.states_with(p).count()));
   }
   EXPECT_FALSE(ts.prop_states(9999).has_value());
 }
@@ -110,14 +109,13 @@ TEST(FromStructure, InitialAndIndexSet) {
   const auto sys = testing::ring_of(3);
   const TransitionSystem ts = from_structure(sys.structure());
   EXPECT_TRUE(contains(ts, ts.initial(), sys.structure().initial()));
-  EXPECT_DOUBLE_EQ(ts.count_states(ts.initial()), 1.0);
+  EXPECT_EQ(ts.count_states(ts.initial()), SatCount::make(1));
   ASSERT_EQ(ts.index_set().size(), 3u);
   EXPECT_EQ(ts.index_set()[0], 1u);
   EXPECT_EQ(ts.index_set()[2], 3u);
   EXPECT_EQ(ts.registry(), sys.structure().registry());
   // The ring's explicit structure is already its reachable restriction.
-  EXPECT_DOUBLE_EQ(ts.num_reachable(),
-                   static_cast<double>(sys.structure().num_states()));
+  EXPECT_EQ(ts.num_states(), SatCount::make(sys.structure().num_states()));
 }
 
 TEST(FromStructure, BridgeStaysSinglePartition) {
@@ -125,70 +123,36 @@ TEST(FromStructure, BridgeStaysSinglePartition) {
   const auto m = testing::random_structure(reg, 9, 3);
   const TransitionSystem ts = from_structure(m);
   EXPECT_EQ(ts.partition().size(), 1u);
-  EXPECT_EQ(ts.partition_kind(), PartitionKind::kDisjunctive);
   EXPECT_EQ(ts.transitions(), ts.partition()[0]);
   EXPECT_EQ(ts.relation_node_count(), ts.manager().dag_size(ts.transitions()));
 }
 
-/// Builds the x_v' <-> (x_v XOR x_{v-1}) relation for one state var — a
-/// little synchronous shift-xor network whose natural description is a
-/// CONJUNCTION of per-variable constraints with overlapping supports (each
-/// part reads its left neighbour), exercising the early-quantification
-/// schedule for real.
-Bdd xor_shift_part(BddManager& m, std::uint32_t v, std::uint32_t prev) {
-  const Bdd cur = m.var(TransitionSystem::unprimed(v));
-  const Bdd left = m.var(TransitionSystem::unprimed(prev));
-  return m.bdd_iff(m.var(TransitionSystem::primed(v)), m.bdd_xor(cur, left));
-}
-
-TEST(TransitionSystem, ConjunctivePartitionMatchesMonolithic) {
-  constexpr std::uint32_t kVars = 4;
-  auto mgr = std::make_shared<BddManager>(2 * kVars);
-  auto reg = kripke::make_registry();
-  std::vector<Bdd> parts;
-  for (std::uint32_t v = 0; v < kVars; ++v)
-    parts.push_back(xor_shift_part(*mgr, v, (v + kVars - 1) % kVars));
-  const Bdd initial = state_minterm(*mgr, kVars, /*s=*/1, /*primed=*/false);
-
-  const TransitionSystem partitioned(mgr, kVars, initial, parts,
-                                     PartitionKind::kConjunctive, reg, {}, {});
-  Bdd monolithic = kBddTrue;
-  for (const Bdd p : parts) monolithic = mgr->bdd_and(monolithic, p);
-  const TransitionSystem reference(mgr, kVars, initial, monolithic, reg, {}, {});
-
-  EXPECT_EQ(partitioned.transitions(), monolithic);
-  // Images agree on a spread of state sets, including non-product ones.
-  std::vector<Bdd> sets = {initial, mgr->var(TransitionSystem::unprimed(0)),
-                           mgr->bdd_xor(mgr->var(TransitionSystem::unprimed(1)),
-                                        mgr->var(TransitionSystem::unprimed(3)))};
-  for (const Bdd s : sets) {
-    EXPECT_EQ(partitioned.pre_image(s), reference.pre_image(s));
-    EXPECT_EQ(partitioned.post_image(s), reference.post_image(s));
-  }
-  EXPECT_EQ(partitioned.reachable(), reference.reachable());
-  EXPECT_DOUBLE_EQ(partitioned.num_reachable(), reference.num_reachable());
-}
-
-TEST(TransitionSystem, ConjunctiveScheduleHandlesUntouchedVariables) {
-  // Parts that never mention state var 2 (in any form): the leading cubes
-  // of the quantification schedule must still retire it.
+TEST(TransitionSystem, PartitionHandlesUntouchedVariables) {
+  // Parts that never mention state var 2 (in any form) leave it free to
+  // move, and chained saturation must still quantify it out of every image.
   constexpr std::uint32_t kVars = 3;
   auto mgr = std::make_shared<BddManager>(2 * kVars);
   auto reg = kripke::make_registry();
-  // x0' <-> !x0, and x1' <-> x1; state var 2 is absent everywhere, meaning
-  // T allows it to move freely.
+  // Part 0: x0' <-> !x0 (x1, x2 free); part 1: x1' <-> x1 (x0, x2 free).
   std::vector<Bdd> parts = {
       mgr->bdd_iff(mgr->var(TransitionSystem::primed(0)),
                    mgr->bdd_not(mgr->var(TransitionSystem::unprimed(0)))),
       mgr->bdd_iff(mgr->var(TransitionSystem::primed(1)),
                    mgr->var(TransitionSystem::unprimed(1)))};
   const Bdd initial = state_minterm(*mgr, kVars, 0, false);
-  const TransitionSystem ts(mgr, kVars, initial, parts, PartitionKind::kConjunctive,
-                            reg, {}, {});
-  // From 000: x0 flips, x1 held, x2 free — 2 successors; the reachable set
-  // is {x1 = 0} (4 states).
-  EXPECT_DOUBLE_EQ(ts.count_states(ts.post_image(initial)), 2.0);
-  EXPECT_DOUBLE_EQ(ts.num_reachable(), 4.0);
+  const TransitionSystem ts(mgr, kVars, initial, parts, reg, {}, {});
+  // From 000: part 0 reaches {x0 = 1} (4 states), part 1 reaches {x1 = 0}
+  // (4 states); they share {x0 = 1, x1 = 0}, so 6 successors.  Dually, 000
+  // is a successor of every state with x0 = 1 or x1 = 0.  Every state is
+  // reachable.
+  const BddRef post = ts.post_image(initial);
+  const BddRef pre = ts.pre_image(initial);
+  for (const Bdd image : {post.get(), pre.get()})
+    for (const std::uint32_t v : ts.manager().support_vars(image))
+      EXPECT_EQ(v % 2, 0u) << "primed variable " << v << " leaked into an image";
+  EXPECT_EQ(ts.count_states(post), SatCount::make(6));
+  EXPECT_EQ(ts.count_states(pre), SatCount::make(6));
+  EXPECT_EQ(ts.num_states(), SatCount::make(8));
 }
 
 TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
@@ -210,8 +174,7 @@ TEST(TransitionSystem, DisjunctivePartitionMatchesMonolithic) {
         mgr->bdd_and(state_minterm(*mgr, bits, s, false), targets));
   }
   const TransitionSystem partitioned(mgr, bits, reference.initial(), parts,
-                                     PartitionKind::kDisjunctive, m.registry(),
-                                     {}, {});
+                                     m.registry(), {}, {});
   EXPECT_EQ(partitioned.transitions(), reference.transitions());
   EXPECT_GT(partitioned.partition().size(), 1u);
   std::vector<Bdd> sets = {reference.initial(),
@@ -240,7 +203,6 @@ TEST(TransitionSystem, RejectsBadConstruction) {
                ModelError);
   // An empty partition has no transition relation at all.
   EXPECT_THROW(TransitionSystem(mgr, 2, kBddTrue, std::vector<Bdd>{},
-                                PartitionKind::kDisjunctive,
                                 kripke::make_registry(), {}, {}),
                ModelError);
 }

@@ -56,7 +56,8 @@ TEST_F(UnwindTest, ThrowInsideProtectScopeRestoresTheBaseline) {
   static_cast<void>(mgr.garbage_collect());
   EXPECT_EQ(mgr.live_nodes(), baseline);
   EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kLiveness).ok());
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
 }
 
 TEST_F(UnwindTest, NestedScopesUnwindTogether) {
@@ -84,7 +85,8 @@ TEST_F(UnwindTest, NestedScopesUnwindTogether) {
   static_cast<void>(mgr.garbage_collect());
   EXPECT_EQ(mgr.live_nodes(), baseline);
   EXPECT_TRUE(mgr.audit(BddManager::AuditLevel::kLiveness).ok());
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // The durable root kept its function.
   std::vector<bool> assignment(mgr.num_vars(), false);
   EXPECT_TRUE(mgr.eval(keep.get(), assignment));
@@ -107,10 +109,12 @@ TEST_F(UnwindTest, GcFailpointThrowsBeforeAnyMutation) {
   // The failpoint sits above the first mutation: nothing swept, nothing
   // corrupted.
   EXPECT_EQ(mgr.stats().gc_runs, gc_runs);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // Disarmed (one-shot): the retry sweeps normally.
   EXPECT_GT(mgr.garbage_collect(), 0u);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto retry = mgr.audit();
+  ASSERT_TRUE(retry.ok()) << retry.to_string();
 }
 
 TEST_F(UnwindTest, ReorderFailpointThrowsBeforeEntry) {
@@ -123,11 +127,13 @@ TEST_F(UnwindTest, ReorderFailpointThrowsBeforeEntry) {
       static_cast<void>(
           mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/false))),
       Interrupted);
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto rep = mgr.audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   // The retry reorders; the rooted function is preserved.
   static_cast<void>(
       mgr.reorder_now(BddManager::ReorderOptions(1.5, /*pairs=*/false)));
-  ASSERT_TRUE(mgr.check_invariants());
+  const auto retry = mgr.audit();
+  ASSERT_TRUE(retry.ok()) << retry.to_string();
   std::vector<bool> assignment(6, false);
   assignment[2] = true;
   EXPECT_TRUE(mgr.eval(parity.get(), assignment));
@@ -151,7 +157,8 @@ TEST_F(UnwindTest, LoadBddsFailpointAbortsCleanlyAndTheRetrySucceeds) {
   }
   std::stringstream in(blob);
   const LoadedBdds loaded = load_bdds(in);
-  EXPECT_TRUE(loaded.manager->check_invariants());
+  const auto rep = loaded.manager->audit();
+  ASSERT_TRUE(rep.ok()) << rep.to_string();
   EXPECT_NE(loaded.root("f"), kBddFalse);
 }
 
