@@ -35,8 +35,6 @@ class ProgramEvaluator {
     ++stats_.programs_run;
     if (program.num_registers > stats_.register_high_water)
       stats_.register_high_water = program.num_registers;
-    // obs::enabled() is the constant false when the spine is compiled out,
-    // so the timed branch below folds away entirely in obs-off builds.
     for (const Instruction& in : program.code) {
       // Between-instruction checkpoint: every register is a whole rooted
       // set here, so a budget trip unwinds without leaving partial state.
@@ -44,19 +42,15 @@ class ProgramEvaluator {
       // the backend eu/eg loops.
       rt::checkpoint("eval/program");
       ICTL_FAILPOINT("eval/instruction");
-      const auto op_index = static_cast<std::size_t>(in.op);
-      ++stats_.op_count[op_index];
-      if (obs::enabled()) {
-        obs::SpanGuard span("eval", opcode_name(in.op));
-        typename Ops::Set value = execute(in, program, regs);
-        if (is_fixpoint(in.op))
-          obs::span_arg("iterations", ops_.last_fixpoint_iterations());
-        stats_.op_ns[op_index] += span.elapsed_ns();
-        regs[in.dst] = std::move(value);
-      } else {
-        typename Ops::Set value = execute(in, program, regs);
-        regs[in.dst] = std::move(value);
-      }
+      ++stats_.op_count[static_cast<std::size_t>(in.op)];
+      // Per-opcode time lives in the profile tree and the trace only; the
+      // span is one branch while obs is disabled and nothing when it is
+      // compiled out.
+      ICTL_PROFILE("eval", opcode_name(in.op));
+      typename Ops::Set value = execute(in, program, regs);
+      if (is_fixpoint(in.op))
+        ICTL_SPAN_ARG("iterations", ops_.last_fixpoint_iterations());
+      regs[in.dst] = std::move(value);
     }
     stats_.instructions += program.code.size();
     return std::move(regs[program.result]);

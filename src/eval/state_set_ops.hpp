@@ -55,10 +55,6 @@ struct EvalStats {
   std::uint32_t register_high_water = 0;  ///< widest register file seen
   /// Executions per opcode, indexed by OpCode (always recorded).
   std::array<std::uint64_t, kNumOpCodes> op_count{};
-  /// Nanoseconds per opcode, indexed by OpCode.  Recorded only while
-  /// obs::enabled() — zero otherwise, since timing every instruction of a
-  /// disabled run would tax the hot path for nothing.
-  std::array<std::uint64_t, kNumOpCodes> op_ns{};
 };
 
 }  // namespace ictl::eval

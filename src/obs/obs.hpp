@@ -77,10 +77,12 @@ struct Counter {
 
 /// Hierarchical registry of named counters: names are "scope/name" paths
 /// ("bdd/gc_runs", "sym/saturation_sweeps"), one namespace across every
-/// engine.  The scattered per-subsystem stats structs (BddManager::Stats,
+/// engine.  The per-instance stats structs (BddManager::Stats,
 /// eval::EvalStats, ProgramCompiler::Stats, mc::CheckerStats) stay the
-/// low-overhead hot-path recorders; their owners' publish_stats() mirrors
-/// them into this registry so snapshot()/to_json() is the single export.
+/// storage; three publish_stats() bridges copy them in — BddManager
+/// ("bdd"), eval::CompiledChecker ("mc|sym" + "/eval", "/compile"), and
+/// the CTL* mc::Checker ("ctlstar") — so snapshot()/to_json() is the
+/// single export.
 class Registry {
  public:
   /// The cell for scope/name, registered on first use (stable reference).

@@ -734,7 +734,6 @@ void BddManager::swap_adjacent_levels(std::uint32_t lvl) {
   // while its cone still carries its counts.
   flush_dead_queue();
   swap_levels_internal(lvl);
-  ++reorder_count_;
   invalidate_operation_caches();
 #ifdef ICTL_AUDIT
   assert_audit(AuditLevel::kFull, "swap_adjacent_levels");
@@ -986,7 +985,6 @@ std::size_t BddManager::reorder_now(const ReorderOptions& options) {
   in_reorder_ = false;
   reorder_pending_ = false;  // growth during the sift is not a new trigger
   gc_pending_ = false;       // the pass collected as it went
-  ++reorder_count_;
   invalidate_operation_caches();
 #ifdef ICTL_AUDIT
   assert_audit(AuditLevel::kFull, "reorder_now");

@@ -306,10 +306,6 @@ class BddManager {
   /// handle keeps its function; caches are invalidated.
   void swap_adjacent_levels(std::uint32_t level);
 
-  /// Completed reorder passes — an epoch clients can compare to notice that
-  /// levels moved (handles and their functions never change).
-  [[nodiscard]] std::uint64_t reorder_count() const noexcept { return reorder_count_; }
-
   /// Blocks growth-triggered reordering until the matching resume (calls
   /// nest).  Builders that also need garbage collection deferred (any chain
   /// of make_node calls or unrooted intermediates) should hold a
@@ -516,7 +512,6 @@ class BddManager {
   bool reorder_pending_ = false;
   bool in_reorder_ = false;
   std::uint32_t reorder_pause_depth_ = 0;
-  std::uint64_t reorder_count_ = 0;
 
   // GC policy state (see garbage_collect / enable_auto_gc).
   bool gc_enabled_ = false;

@@ -3,7 +3,9 @@
 // tree (nesting, aggregation across repeated spans, the percent-of-total
 // report), span runtime gating (a disabled span records nothing), and the
 // Chrome-trace emitter (balanced B/E pairs, monotone timestamps, span
-// args).  Recording tests skip when the instrumentation is compiled out
+// args), and the spine's two consumers in the engines: the checker
+// façades' publish_stats bridge and the evaluator's per-opcode spans.
+// Recording tests skip when the instrumentation is compiled out
 // (-DICTL_OBS=OFF): the classes still exist there — only recording stops.
 #include <gtest/gtest.h>
 
@@ -11,7 +13,12 @@
 #include <sstream>
 #include <string>
 
+#include "eval/fixpoint_program.hpp"
+#include "mc/ctl_checker.hpp"
 #include "obs/obs.hpp"
+#include "ring/ring.hpp"
+#include "symbolic/ctl_checker.hpp"
+#include "symbolic/ring_encoding.hpp"
 
 namespace ictl::obs {
 namespace {
@@ -171,6 +178,89 @@ TEST_F(ObsRecordingTest, TraceStopRestoresThePriorEnableState) {
   std::stringstream out;
   trace_stop(out);
   EXPECT_FALSE(enabled());  // back to the pre-trace state
+}
+
+/// Sum of count / total_ns over every profile node labelled `label` (a span
+/// aggregates per parent, so one label can sit under several parents).
+ProfileEntry profile_total(std::string_view label) {
+  ProfileEntry total;
+  for (const ProfileEntry& e : Profiler::global().snapshot()) {
+    if (e.label != label) continue;
+    total.count += e.count;
+    total.total_ns += e.total_ns;
+  }
+  return total;
+}
+
+TEST_F(ObsRecordingTest, ProfilerOwnsPerOpcodeTiming) {
+  const auto sys = ring::RingSystem::build(4);
+  mc::CtlChecker checker(sys.structure());
+  for (const auto& [name, f] : ring::section5_specifications())
+    EXPECT_TRUE(checker.holds_initially(f)) << name;
+  const auto& op_count = checker.eval_stats().op_count;
+  for (const eval::OpCode op : {eval::OpCode::kEU, eval::OpCode::kEG}) {
+    const std::string label = std::string("eval/") + eval::opcode_name(op);
+    const std::uint64_t executed = op_count[static_cast<std::size_t>(op)];
+    ASSERT_GT(executed, 0u) << label;
+    const ProfileEntry node = profile_total(label);
+    EXPECT_EQ(node.count, executed) << label;
+    EXPECT_GT(node.total_ns, 0u) << label;
+  }
+}
+
+/// The compiled core's registry keys under `scope` carry exactly the
+/// façade's accessor values.
+template <typename Checker>
+void expect_core_published(const Registry& registry, const std::string& scope,
+                           const Checker& checker) {
+  const std::string ev = scope + "/eval";
+  const eval::EvalStats& e = checker.eval_stats();
+  EXPECT_EQ(registry.value(ev, "programs_run"), e.programs_run);
+  EXPECT_EQ(registry.value(ev, "instructions"), e.instructions);
+  EXPECT_EQ(registry.value(ev, "leaf_evals"), e.leaf_evals);
+  EXPECT_EQ(registry.value(ev, "fixpoint_ops"), e.fixpoint_ops);
+  EXPECT_EQ(registry.value(ev, "fixpoint_iterations"), e.fixpoint_iterations);
+  EXPECT_EQ(registry.value(ev, "register_high_water"), e.register_high_water);
+  for (std::size_t i = 0; i < eval::kNumOpCodes; ++i) {
+    const std::string key =
+        std::string("op_") + eval::opcode_name(static_cast<eval::OpCode>(i));
+    EXPECT_EQ(registry.value(ev, key), e.op_count[i]) << key;
+  }
+  const std::string co = scope + "/compile";
+  const auto& c = checker.compile_stats();
+  EXPECT_EQ(registry.value(co, "programs_compiled"), c.programs_compiled);
+  EXPECT_EQ(registry.value(co, "cache_hits"), c.cache_hits);
+  EXPECT_EQ(registry.value(co, "cse_hits"), c.cse_hits);
+  // A run actually happened, so the equalities above are not 0 == 0.
+  EXPECT_GT(e.instructions, 0u);
+  EXPECT_GT(c.cache_hits, 0u);
+}
+
+TEST(ObsBridge, ExplicitFacadePublishesItsAccessors) {
+  const auto sys = ring::RingSystem::build(4);
+  mc::CtlChecker checker(sys.structure());
+  for (const auto& [name, f] : ring::section5_specifications()) {
+    EXPECT_TRUE(checker.holds_initially(f)) << name;
+    static_cast<void>(checker.program(f));  // a compile-cache hit
+  }
+  Registry registry;
+  checker.publish_stats(registry);
+  expect_core_published(registry, "mc", checker);
+}
+
+TEST(ObsBridge, SymbolicFacadePublishesItsAccessors) {
+  const auto sym = symbolic::build_symbolic_ring(6);
+  symbolic::CtlChecker checker(sym.system);
+  for (const auto& [name, f] : ring::section5_specifications()) {
+    EXPECT_TRUE(checker.holds_initially(f)) << name;
+    static_cast<void>(checker.program(f));
+  }
+  Registry registry;
+  checker.publish_stats(registry);
+  expect_core_published(registry, "sym", checker);
+  const auto peak = sym.system->manager().stats().peak_nodes;
+  EXPECT_GT(peak, 0u);
+  EXPECT_EQ(registry.value("bdd", "peak_nodes"), peak);
 }
 
 TEST(ObsCompiledOut, MacrosAreInertWithoutTheGate) {

@@ -154,6 +154,25 @@ TEST(ThreeEngineDifferential, ClientServerStars) {
   }
 }
 
+/// Both façades run one program per formula through one compiled core, so
+/// every engine-independent counter matches (fixpoint_iterations does not:
+/// worklist steps and BDD rounds are different units).
+void expect_same_program_stats(const mc::CtlChecker& explicit_checker,
+                               const CtlChecker& symbolic_checker, std::uint32_t r) {
+  const auto& ec = explicit_checker.compile_stats();
+  const auto& sc = symbolic_checker.compile_stats();
+  EXPECT_EQ(ec.programs_compiled, sc.programs_compiled) << "r=" << r;
+  EXPECT_EQ(ec.cse_hits, sc.cse_hits) << "r=" << r;
+  const auto& ee = explicit_checker.eval_stats();
+  const auto& se = symbolic_checker.eval_stats();
+  EXPECT_GT(ee.programs_run, 0u) << "r=" << r;
+  EXPECT_EQ(ee.programs_run, se.programs_run) << "r=" << r;
+  EXPECT_EQ(ee.instructions, se.instructions) << "r=" << r;
+  EXPECT_EQ(ee.leaf_evals, se.leaf_evals) << "r=" << r;
+  EXPECT_EQ(ee.fixpoint_ops, se.fixpoint_ops) << "r=" << r;
+  EXPECT_EQ(ee.register_high_water, se.register_high_water) << "r=" << r;
+}
+
 class RingDifferential : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(RingDifferential, SectionFiveSpecificationsAgree) {
@@ -170,6 +189,7 @@ TEST_P(RingDifferential, SectionFiveSpecificationsAgree) {
     // The paper's specs all hold on the ring; pin the expected verdict too.
     EXPECT_TRUE(symbolic_checker.holds_initially(f)) << "r=" << r << " " << name;
   }
+  expect_same_program_stats(explicit_checker, symbolic_checker, r);
 }
 
 TEST_P(RingDifferential, RandomFormulasAgreeStateForState) {
@@ -197,6 +217,7 @@ TEST_P(RingDifferential, RandomFormulasAgreeStateForState) {
     EXPECT_EQ(sym.system->count_states(actual), SatCount::make(expected.count()))
         << "r=" << r << " " << logic::to_string(f);
   }
+  expect_same_program_stats(explicit_checker, symbolic_checker, r);
 }
 
 TEST_P(RingDifferential, PlainAtomFormulasAgreeThreeWays) {

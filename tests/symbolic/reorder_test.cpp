@@ -117,7 +117,6 @@ TEST(Sifting, RecoversFromAdversarialOrder) {
   EXPECT_EQ(live_after, mgr.live_nodes());
   EXPECT_EQ(mgr.stats().sift_passes, 1u);
   EXPECT_GT(mgr.stats().sift_swaps, 0u);
-  EXPECT_EQ(mgr.reorder_count(), 1u);
   // The function itself is untouched.
   Bdd expected = kBddFalse;
   for (std::uint32_t p = 0; p < kPairs; ++p)
@@ -200,7 +199,6 @@ TEST(Reorder, DynamicReorderingTriggersSiftOnGrowth) {
   for (std::uint32_t v = 0; v < 16; ++v) parity = mgr.bdd_xor(parity, mgr.var(v));
   EXPECT_GE(mgr.stats().reorder_hook_calls, 1u);
   EXPECT_GE(mgr.stats().sift_passes, 1u);
-  EXPECT_EQ(mgr.stats().sift_passes, mgr.reorder_count());
   const auto rep = mgr.audit();
   ASSERT_TRUE(rep.ok()) << rep.to_string();
   // Everything still evaluates correctly after however many sifts fired.
