@@ -494,10 +494,12 @@ std::size_t BddManager::garbage_collect() {
 // ---- Computed table ---------------------------------------------------------
 
 std::size_t BddManager::cache_set(Op op, Bdd a, Bdd b, Bdd c) const {
-  const std::uint64_t h =
-      mix((static_cast<std::uint64_t>(a) << 32) ^ (static_cast<std::uint64_t>(b) << 8) ^
-          (static_cast<std::uint64_t>(c) << 2) ^ static_cast<std::uint64_t>(op));
-  return (static_cast<std::size_t>(h) & cache_set_mask_) * 2;
+  // (a, b) and (c, op) each fill a 64-bit word, and mix is a bijection, so
+  // two distinct keys can share a set only through the final mixing.
+  const std::uint64_t ab = (static_cast<std::uint64_t>(a) << 32) | b;
+  const std::uint64_t cop =
+      (static_cast<std::uint64_t>(c) << 32) | static_cast<std::uint64_t>(op);
+  return (static_cast<std::size_t>(mix(ab ^ mix(cop))) & cache_set_mask_) * 2;
 }
 
 bool BddManager::cache_lookup(Op op, Bdd a, Bdd b, Bdd c, Bdd& out) {
@@ -532,12 +534,11 @@ void BddManager::cache_store(Op op, Bdd a, Bdd b, Bdd c, Bdd result) {
 
 void BddManager::invalidate_operation_caches() {
   // The one choke point for cache invalidation: everything keyed on node
-  // identity across calls — the computed table and the rename memo — is
-  // epoch-invalidated here, and every order-changing or node-retiring path
-  // calls this.  With scoped lifetimes this is load-bearing, not
-  // defense-in-depth: a retired handle must never come back out of a cache.
+  // identity across calls — the computed table — is epoch-invalidated here,
+  // and every order-changing or node-retiring path calls this.  With scoped
+  // lifetimes this is load-bearing, not defense-in-depth: a retired handle
+  // must never come back out of a cache.
   ++cache_epoch_;
-  ++rename_epoch_;
   ++stats_.cache_invalidations;
 }
 
@@ -649,78 +650,110 @@ Bdd BddManager::exists_rec(Bdd f, Bdd cube) {
   return result;
 }
 
-BddRef BddManager::and_exists(Bdd f, Bdd g, Bdd cube) {
-  ICTL_ASSERT(f < nodes_.size() && g < nodes_.size() && cube < nodes_.size());
-  BddRef result(*this, and_exists_rec(f, g, cube));
+// ---- Pair images ------------------------------------------------------------
+
+std::uint32_t BddManager::primed_level(Bdd states) const {
+  if (is_terminal(states)) return kTerminalLevel;
+  const std::uint32_t v = nodes_[states].var;
+  ICTL_ASSERT(v % 2 == 0 && v + 1 < num_vars_);  // a set over x, never x'
+  return var2level_[v + 1];
+}
+
+BddRef BddManager::pair_pre_image(Bdd care, Bdd relation, Bdd states) {
+  ICTL_ASSERT(care < nodes_.size() && relation < nodes_.size() &&
+              states < nodes_.size());
+  BddRef result(*this, pre_image_rec(care, relation, states));
   run_deferred_maintenance();
   return result;
 }
 
-Bdd BddManager::and_exists_rec(Bdd f, Bdd g, Bdd cube) {
-  if (f == kBddFalse || g == kBddFalse) return kBddFalse;
-  if (f == kBddTrue) return exists_rec(g, cube);
-  if (g == kBddTrue || f == g) return exists_rec(f, cube);
-  if (f > g) std::swap(f, g);  // conjunction is commutative: canonical key
-
-  const std::uint32_t top = std::min(level(f), level(g));
-  while (cube != kBddTrue && level(cube) < top) cube = nodes_[cube].high;
+Bdd BddManager::pre_image_rec(Bdd care, Bdd relation, Bdd states) {
+  if (care == kBddFalse || relation == kBddFalse || states == kBddFalse)
+    return kBddFalse;
+  // exists x'. states(x') holds for any satisfiable set.
+  if (relation == kBddTrue) return care;
 
   Bdd cached;
-  if (cache_lookup(Op::kAndExists, f, g, cube, cached)) return cached;
+  if (cache_lookup(Op::kPreImage, care, relation, states, cached)) return cached;
 
-  const auto cofactor = [&](Bdd x, bool hi) {
-    return level(x) == top ? (hi ? nodes_[x].high : nodes_[x].low) : x;
+  const std::uint32_t care_level = level(care);
+  const std::uint32_t rel_level = level(relation);
+  const std::uint32_t states_level = primed_level(states);
+  const std::uint32_t top = std::min({care_level, rel_level, states_level});
+  const auto cofactor = [&](Bdd x, std::uint32_t x_level, bool hi) {
+    return x_level == top ? (hi ? nodes_[x].high : nodes_[x].low) : x;
   };
+  const std::uint32_t v = level2var_[top];
   Bdd result;
-  if (cube != kBddTrue && level(cube) == top) {
-    const Bdd rest = nodes_[cube].high;
-    const Bdd lo = and_exists_rec(cofactor(f, false), cofactor(g, false), rest);
-    // ite_rec, not the public bdd_or — same mid-recursion maintenance hazard.
+  if (v % 2 != 0) {
+    // A primed level: quantified.  Both disjuncts lie inside care (which
+    // never tests a primed variable), so once one of them IS care the
+    // disjunction is too.
+    ICTL_ASSERT(care_level != top);
+    const Bdd lo = pre_image_rec(care, cofactor(relation, rel_level, false),
+                                 cofactor(states, states_level, false));
+    if (lo == care) {
+      result = care;
+    } else {
+      const Bdd hi = pre_image_rec(care, cofactor(relation, rel_level, true),
+                                   cofactor(states, states_level, true));
+      // ite_rec, not the public bdd_or: no deferred maintenance may run
+      // while this frame holds node handles.
+      result = hi == care ? care : ite_rec(lo, kBddTrue, hi);
+    }
+  } else {
+    // An unprimed level (states sit only at primed levels): split care and
+    // the relation; a branch outside care stops at the false terminal.
+    result = mk(v,
+                pre_image_rec(cofactor(care, care_level, false),
+                              cofactor(relation, rel_level, false), states),
+                pre_image_rec(cofactor(care, care_level, true),
+                              cofactor(relation, rel_level, true), states));
+  }
+  cache_store(Op::kPreImage, care, relation, states, result);
+  return result;
+}
+
+BddRef BddManager::pair_post_image(Bdd relation, Bdd states) {
+  ICTL_ASSERT(relation < nodes_.size() && states < nodes_.size());
+  BddRef result(*this, post_image_rec(relation, states));
+  run_deferred_maintenance();
+  return result;
+}
+
+Bdd BddManager::post_image_rec(Bdd relation, Bdd states) {
+  if (relation == kBddFalse || states == kBddFalse) return kBddFalse;
+  // exists x. states(x) holds for any satisfiable set.
+  if (relation == kBddTrue) return kBddTrue;
+
+  Bdd cached;
+  if (cache_lookup(Op::kPostImage, relation, states, 0, cached)) return cached;
+
+  const std::uint32_t rel_level = level(relation);
+  const std::uint32_t states_level = level(states);
+  const std::uint32_t top = std::min(rel_level, states_level);
+  const auto cofactor = [&](Bdd x, std::uint32_t x_level, bool hi) {
+    return x_level == top ? (hi ? nodes_[x].high : nodes_[x].low) : x;
+  };
+  const std::uint32_t v = level2var_[top];
+  Bdd result;
+  if (v % 2 == 0) {
+    // An unprimed level: quantified.
+    const Bdd lo = post_image_rec(cofactor(relation, rel_level, false),
+                                  cofactor(states, states_level, false));
     result = lo == kBddTrue
                  ? kBddTrue
                  : ite_rec(lo, kBddTrue,
-                           and_exists_rec(cofactor(f, true), cofactor(g, true), rest));
+                           post_image_rec(cofactor(relation, rel_level, true),
+                                          cofactor(states, states_level, true)));
   } else {
-    result = mk(level2var_[top],
-                and_exists_rec(cofactor(f, false), cofactor(g, false), cube),
-                and_exists_rec(cofactor(f, true), cofactor(g, true), cube));
+    // A primed level: kept, and emitted as its unprimed partner one level
+    // up (mk asserts the order, catching a split pair).
+    ICTL_ASSERT(states_level != top);  // a set over x, never x'
+    result = mk(v - 1, post_image_rec(cofactor(relation, rel_level, false), states),
+                post_image_rec(cofactor(relation, rel_level, true), states));
   }
-  cache_store(Op::kAndExists, f, g, cube, result);
-  return result;
-}
-
-// ---- Rename -----------------------------------------------------------------
-
-BddRef BddManager::rename(Bdd f, const std::vector<std::uint32_t>& map) {
-  ICTL_ASSERT(f < nodes_.size());
-  // Epoch-stamped memo: bumping the epoch invalidates every entry in O(1),
-  // so each call pays only for the nodes it actually visits — rename sits
-  // on every image computation of every fixpoint iteration, where a
-  // freshly zero-filled O(total nodes) vector per call would dominate.
-  // (invalidate_operation_caches also bumps this epoch on reorders/sweeps.)
-  ++rename_epoch_;
-  if (rename_stamp_.size() < nodes_.size()) {
-    rename_stamp_.resize(nodes_.size(), 0);
-    rename_val_.resize(nodes_.size(), kBddFalse);
-  }
-  BddRef result(*this, rename_rec(f, map));
-  run_deferred_maintenance();
-  return result;
-}
-
-Bdd BddManager::rename_rec(Bdd f, const std::vector<std::uint32_t>& map) {
-  if (is_terminal(f)) return f;
-  if (rename_stamp_[f] == rename_epoch_) return rename_val_[f];
-  const Node n = nodes_[f];  // copy: mk() below may reallocate nodes_
-  // The map need only cover f's support (a system built before its shared
-  // manager grew still renames its own sets).
-  ICTL_ASSERT(n.var < map.size());
-  const Bdd lo = rename_rec(n.low, map);
-  const Bdd hi = rename_rec(n.high, map);
-  // mk asserts the order invariant, catching non-order-preserving maps.
-  const Bdd result = mk(map[n.var], lo, hi);
-  rename_stamp_[f] = rename_epoch_;
-  rename_val_[f] = result;
+  cache_store(Op::kPostImage, relation, states, 0, result);
   return result;
 }
 
@@ -1310,24 +1343,6 @@ void BddManager::audit_caches(AuditReport& report) const {
         fail(report, "caches: computed-table entry " + std::to_string(i) +
                          " references retired handle " + std::to_string(operand));
     }
-  }
-  for (Bdd id = 0; id < rename_stamp_.size(); ++id) {
-    if (rename_stamp_[id] > rename_epoch_) {
-      fail(report, "caches: rename memo for node " + std::to_string(id) +
-                       " stamped with a future epoch");
-      continue;
-    }
-    if (rename_stamp_[id] != rename_epoch_) continue;
-    if (retired(id))
-      fail(report, "caches: rename memo keeps a current-epoch entry for retired node " +
-                       std::to_string(id));
-    const Bdd val = rename_val_[id];
-    if (val >= nodes_.size())
-      fail(report, "caches: rename memo for node " + std::to_string(id) +
-                       " holds out-of-range handle " + std::to_string(val));
-    else if (retired(val))
-      fail(report, "caches: rename memo for node " + std::to_string(id) +
-                       " holds retired handle " + std::to_string(val));
   }
 }
 

@@ -37,12 +37,15 @@
 //     allocated (handles are dense, never reused) and are revived
 //     transparently on a unique-table hit until garbage_collect() or a
 //     reorder pass retires them.
-//   * The computed cache and the rename memo are invalidated epoch-style in
-//     one centralized helper whenever the order changes or a sweep retires
-//     nodes: a retired handle must never come back out of a cache.
-//   * Quantification takes a positive cube (conjunction of variables) so
-//     `exists`/`forall` and the fused relational product `and_exists` — the
-//     workhorse of pre/post image computation — share one recursion shape.
+//   * The computed cache is invalidated epoch-style in one centralized
+//     helper whenever the order changes or a sweep retires nodes: a retired
+//     handle must never come back out of a cache.
+//   * Quantification: `exists`/`forall` take a positive cube (conjunction
+//     of variables).  The image workhorses, pair_pre_image and
+//     pair_post_image, instead quantify by variable parity over the (2k,
+//     2k+1) pair layout and fold the prime/unprime renaming into the same
+//     recursion (Sylvan's relprev/relnext), so no primed copy of a set is
+//     ever built.
 //
 // Persistence: symbolic/bdd_store.hpp serializes a manager's variable
 // order, live nodes, and named roots to a versioned, checksummed binary
@@ -159,15 +162,24 @@ class BddManager {
   [[nodiscard]] BddRef exists(Bdd f, Bdd cube);
   [[nodiscard]] BddRef forall(Bdd f, Bdd cube);
 
-  /// The relational product  exists cube. f & g  computed in one recursion
-  /// (never materializing f & g) — the image primitive.
-  [[nodiscard]] BddRef and_exists(Bdd f, Bdd g, Bdd cube);
+  // ---- Pair images ---------------------------------------------------------
+  //
+  // Relational products over the (2k, 2k+1) pair layout: even variable 2k
+  // is a current-state bit x_k, odd variable 2k+1 its next-state partner
+  // x'_k, and each pair sits on adjacent levels, 2k directly above 2k+1
+  // (TransitionSystem's interleaving; group-sifting keeps it).  `relation`
+  // may mention both halves; `states` and `care` only even variables.
 
-  /// Renames variable v to `map[v]` for every v in the support of f.  The
-  /// map must be order-preserving on the support under the CURRENT level
-  /// assignment (the primed/unprimed interleaving is, and group-sifted
-  /// reorders keep it so); violating maps trip the node-order assertion.
-  [[nodiscard]] BddRef rename(Bdd f, const std::vector<std::uint32_t>& map);
+  /// care(x) & exists x'. relation(x, x') & states(x') — `states` is given
+  /// over x and each of its nodes is read at its primed partner's level, so
+  /// no primed copy is built.  Odd levels are quantified (stopping as soon
+  /// as the disjunction covers `care`); even levels cofactor `care`, so
+  /// predecessors outside it are never explored.
+  [[nodiscard]] BddRef pair_pre_image(Bdd care, Bdd relation, Bdd states);
+
+  /// exists x. relation(x, x') & states(x), with each surviving x'_k
+  /// emitted as x_k: the successor set comes back over even variables.
+  [[nodiscard]] BddRef pair_post_image(Bdd relation, Bdd states);
 
   // ---- Liveness ------------------------------------------------------------
 
@@ -195,10 +207,10 @@ class BddManager {
   /// Mark-and-sweep over the node table: retires every dead node (no
   /// external reference, no live parent) from the unique subtables, shrinks
   /// subtable bucket arrays that emptied out, and epoch-invalidates the
-  /// computed cache and rename memo so no retired handle can come back out
-  /// of a cache.  Returns the number of nodes retired this sweep.  Inside a
-  /// protect_scope (or a reorder pass) the sweep is deferred: it records a
-  /// pending request, returns 0, and runs when the scope closes.
+  /// computed cache so no retired handle can come back out of it.  Returns
+  /// the number of nodes retired this sweep.  Inside a protect_scope (or a
+  /// reorder pass) the sweep is deferred: it records a pending request,
+  /// returns 0, and runs when the scope closes.
   std::size_t garbage_collect();
 
   /// Arms automatic garbage collection: after a public operation, when the
@@ -269,9 +281,11 @@ class BddManager {
     /// its size at the start of the variable's sift.
     double max_growth;
     /// Sift (2k, 2k+1) variable pairs as atomic blocks — REQUIRED whenever
-    /// the manager carries a TransitionSystem's unprimed/primed interleaving
-    /// (rename's order-preservation depends on it).  Needs an even variable
-    /// count and pairwise-adjacent levels.
+    /// the manager carries a TransitionSystem's unprimed/primed interleaving:
+    /// the pair-image kernels read a node of 2k at the level of 2k+1, which
+    /// is only sound while every pair stays adjacent (TransitionSystem::audit
+    /// checks it).  Needs an even variable count and pairwise-adjacent
+    /// levels.
     bool group_pairs;
     /// Stop the pass once this many node rewrites have been spent (the
     /// CUDD siftMaxSwap analogue): blocks are visited most-populous first,
@@ -340,9 +354,9 @@ class BddManager {
     /// live-node and per-variable live totals, queue/flag coherence,
     /// retired-implies-unreferenced.
     kLiveness = 1,
-    /// Computed-table and rename-memo epoch coherence: no current-epoch
-    /// entry references a retired handle or carries an epoch from the
-    /// future (which would spontaneously validate after an invalidation).
+    /// Computed-table epoch coherence: no current-epoch entry references a
+    /// retired handle or carries an epoch from the future (which would
+    /// spontaneously validate after an invalidation).
     kCaches = 2,
     /// SatCount consistency on every externally rooted function:
     /// normalization (odd mantissa, zero => exponent 0, exponent >= 0),
@@ -433,9 +447,9 @@ class BddManager {
   /// liveness: sweeps, reordering, live_nodes().
   void flush_dead_queue() noexcept;
 
-  /// Centralized cache invalidation: bumps the computed-table epoch and the
-  /// rename-memo epoch in one place — the single path every order-changing
-  /// or node-retiring operation goes through.
+  /// Centralized cache invalidation: bumps the computed-table epoch — the
+  /// single path every order-changing or node-retiring operation goes
+  /// through.
   void invalidate_operation_caches();
 
   // Sifting + GC internals.
@@ -466,15 +480,18 @@ class BddManager {
 
   Bdd ite_rec(Bdd f, Bdd g, Bdd h);
   Bdd exists_rec(Bdd f, Bdd cube);
-  Bdd and_exists_rec(Bdd f, Bdd g, Bdd cube);
-  Bdd rename_rec(Bdd f, const std::vector<std::uint32_t>& map);
+  /// The level a state-set node is read at by the pair kernels: that of
+  /// its (even) variable's primed partner.
+  [[nodiscard]] std::uint32_t primed_level(Bdd states) const;
+  Bdd pre_image_rec(Bdd care, Bdd relation, Bdd states);
+  Bdd post_image_rec(Bdd relation, Bdd states);
   double sat_count_rec(Bdd f, std::vector<double>& memo) const;
   SatCount sat_count_exact_rec(Bdd f, std::vector<SatCount>& memo,
                                std::vector<char>& seen) const;
 
   // Computed-table cache: 2-way set-associative, keyed (op, a, b, c), with
   // epoch-stamped entries (epoch mismatch == invalid) and last-use aging.
-  enum class Op : std::uint32_t { kNone = 0, kIte, kExists, kAndExists };
+  enum class Op : std::uint32_t { kNone = 0, kIte, kExists, kPreImage, kPostImage };
   struct CacheEntry {
     Op op = Op::kNone;
     Bdd a = 0, b = 0, c = 0;
@@ -522,13 +539,6 @@ class BddManager {
   // Scratch buffers for swap_levels_internal (no allocation per swap).
   std::vector<Bdd> swap_movers_;
   std::vector<Bdd> swap_keepers_;
-
-  // Epoch-stamped rename memo (per-manager, grown lazily): avoids the
-  // O(total nodes) zero-fill a per-call memo vector would cost on every
-  // image computation.
-  std::uint64_t rename_epoch_ = 0;
-  std::vector<std::uint64_t> rename_stamp_;
-  std::vector<Bdd> rename_val_;
 };
 
 /// RAII external root reference to a BDD node.  Ownership rules:

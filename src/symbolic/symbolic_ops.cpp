@@ -49,10 +49,8 @@ Set SymbolicStateOps::iff(const Set& a, const Set& b) const {
   return m.bdd_or(both, neither);
 }
 
-Set SymbolicStateOps::ex(const Set& f) const { return ex_raw(f.get()); }
-
-BddRef SymbolicStateOps::ex_raw(Bdd f) const {
-  return system_->manager().bdd_and(reach_, system_->pre_image(f));
+Set SymbolicStateOps::ex(const Set& f) const {
+  return system_->pre_image(f, reach_);
 }
 
 Set SymbolicStateOps::eu(const Set& f, const Set& g) {
@@ -68,11 +66,11 @@ Set SymbolicStateOps::eu(const Set& f, const Set& g) {
     ICTL_FAILPOINT("sym/eu_iter");
     ++last_iterations_;
     // The scope covers one iteration body: GC and growth-triggered sifting
-    // are deferred across the and/or/pre_image chain (whose intermediates
-    // carry no roots) and fire between iterations, where the BddRef locals
-    // cover the live set.
+    // are deferred across the pre_image/or/diff chain and fire between
+    // iterations, where the BddRef locals cover the live set.  f is the
+    // pre-image's care set: f & EX frontier, as f lies inside reach.
     const auto scope = m.protect_scope();
-    BddRef next = m.bdd_or(z, m.bdd_and(f, ex_raw(frontier.get())));
+    BddRef next = m.bdd_or(z, system_->pre_image(frontier, f));
     frontier = m.bdd_diff(next, z);
     z = std::move(next);
   }
@@ -90,7 +88,8 @@ Set SymbolicStateOps::eg(const Set& f) {
     ICTL_FAILPOINT("sym/eg_iter");
     ++last_iterations_;
     const auto scope = m.protect_scope();
-    BddRef next = m.bdd_and(z, ex_raw(z.get()));
+    // z & EX z, with z (inside reach) as the care set.
+    BddRef next = system_->pre_image(z, z);
     if (next.get() == z.get()) {
       ICTL_SPAN_ARG("iterations", last_iterations_);
       return z;

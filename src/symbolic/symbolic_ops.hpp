@@ -38,7 +38,10 @@ class SymbolicStateOps {
   [[nodiscard]] Set disj(const Set& a, const Set& b) const;
   [[nodiscard]] Set iff(const Set& a, const Set& b) const;
 
-  [[nodiscard]] Set ex(const Set& f) const;  // reach & pre_image(f)
+  // Operands come from this backend, so they lie inside reach: EU and EG
+  // pass the set they keep (f, resp. Z) as the pre-image's care set
+  // instead of intersecting afterwards, as EX passes reach.
+  [[nodiscard]] Set ex(const Set& f) const;  // pre_image(f) within reach
   /// E[f U g]: least fixpoint of Z = g | (f & EX Z) from below, frontier
   /// style — only the states added in the previous round are pre-imaged,
   /// mirroring the explicit worklist EU.
@@ -56,8 +59,6 @@ class SymbolicStateOps {
   }
 
  private:
-  [[nodiscard]] BddRef ex_raw(Bdd f) const;
-
   std::shared_ptr<const TransitionSystem> system_;
   bool unknown_atoms_are_false_;
   // Ops-rooted universe: the system caches reachable() too, but holding our

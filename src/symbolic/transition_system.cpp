@@ -28,10 +28,8 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
   support::require<ModelError>(!partition.empty(),
                                "TransitionSystem: empty transition partition");
 
-  // Root every raw argument FIRST: the cube() calls below are public
-  // operations, and on a manager with dynamic reordering or auto-GC armed
-  // they may run deferred maintenance — which retires unrooted nodes.
-  // Rooting the retained set also makes it what sifting minimizes.
+  // Root every raw argument: that keeps the retained set alive across
+  // garbage collection and makes it what sifting minimizes.
   initial_ = BddRef(*mgr_, initial);
   parts_.reserve(partition.size());
   for (const Bdd part : partition) parts_.emplace_back(*mgr_, part);
@@ -39,22 +37,6 @@ TransitionSystem::TransitionSystem(std::shared_ptr<BddManager> mgr,
             [](const auto& a, const auto& b) { return a.first < b.first; });
   props_.reserve(props.size());
   for (const auto& [prop, fn] : props) props_.emplace_back(prop, BddRef(*mgr_, fn));
-
-  std::vector<std::uint32_t> uvars(num_state_vars_), pvars(num_state_vars_);
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    uvars[v] = unprimed(v);
-    pvars[v] = primed(v);
-  }
-  unprimed_cube_ = mgr_->cube(uvars);
-  primed_cube_ = mgr_->cube(pvars);
-  to_primed_.resize(mgr_->num_vars());
-  to_unprimed_.resize(mgr_->num_vars());
-  for (std::uint32_t v = 0; v < mgr_->num_vars(); ++v)
-    to_primed_[v] = to_unprimed_[v] = v;
-  for (std::uint32_t v = 0; v < num_state_vars_; ++v) {
-    to_primed_[unprimed(v)] = primed(v);
-    to_unprimed_[primed(v)] = unprimed(v);
-  }
 
 #ifdef ICTL_AUDIT
   assert_audit("construction");
@@ -94,22 +76,18 @@ std::size_t TransitionSystem::relation_node_count() const {
   return mgr_->dag_size(std::vector<Bdd>(parts_.begin(), parts_.end()));
 }
 
-BddRef TransitionSystem::pre_image(Bdd states) const {
+BddRef TransitionSystem::pre_image(Bdd states, Bdd within) const {
   ICTL_COUNT("sym", "pre_images");
-  const BddRef primed_states = mgr_->rename(states, to_primed_);
-  // One relational product against the combined relation.  Images
+  // One fused kernel call against the combined relation.  Images
   // distribute over the parts, but for this family the combined BDD is
   // small (the parts exist to make BUILDING it cheap and to chain
-  // reachability), and EX-heavy CTL fixpoints measured ~5x faster on one
-  // and_exists than on a per-part product-and-OR loop — so the single-step
-  // images use the lazy combine.
-  return mgr_->and_exists(transitions(), primed_states, primed_cube_);
+  // reachability), so the single-step images use the lazy combine.
+  return mgr_->pair_pre_image(within, transitions(), states);
 }
 
 BddRef TransitionSystem::post_image(Bdd states) const {
   ICTL_COUNT("sym", "post_images");
-  const BddRef next = mgr_->and_exists(transitions(), states, unprimed_cube_);
-  return mgr_->rename(next, to_unprimed_);
+  return mgr_->pair_post_image(transitions(), states);
 }
 
 Bdd TransitionSystem::reachable() const {
@@ -136,9 +114,8 @@ Bdd TransitionSystem::reachable() const {
           // root, so a trip mid-saturation unwinds to a reusable manager
           // (and reachable_ stays unset — a retry recomputes from scratch).
           rt::charge_iteration("sym/saturation");
-          const BddRef img = mgr_->rename(
-              mgr_->and_exists(part, reach, unprimed_cube_), to_unprimed_);
-          BddRef next = mgr_->bdd_or(reach, img);
+          ICTL_COUNT("sym", "post_images");
+          BddRef next = mgr_->bdd_or(reach, mgr_->pair_post_image(part, reach));
           if (next.get() == reach.get()) break;
           reach = std::move(next);
           changed = true;
@@ -212,39 +189,28 @@ BddManager::AuditReport TransitionSystem::audit() const {
   for (const auto& [prop, fn] : props_)
     unprimed_only(fn.get(), "prop " + std::to_string(prop) + " function");
 
-  // The prime/unprime rename maps are mutual inverses over the state pairs.
-  if (to_primed_.size() < 2 * n || to_unprimed_.size() < 2 * n) {
-    fail("rename maps shorter than the state variable block");
-  } else {
-    for (std::uint32_t v = 0; v < n; ++v)
-      if (to_primed_[unprimed(v)] != primed(v) ||
-          to_unprimed_[primed(v)] != unprimed(v) ||
-          to_unprimed_[to_primed_[unprimed(v)]] != unprimed(v))
-        fail("rename maps not mutually inverse at state variable " +
-             std::to_string(v));
+  // The pair layout the image kernels read: each primed variable sits on
+  // the level directly below its unprimed partner.
+  bool pairs_adjacent = true;
+  for (std::uint32_t v = 0; v < n; ++v) {
+    const std::uint32_t top = mgr_->level_of_var(unprimed(v));
+    if (mgr_->level_of_var(primed(v)) == top + 1) continue;
+    pairs_adjacent = false;
+    fail("pair layout broken at state variable " + std::to_string(v) +
+         ": primed variable not on the level directly below level " +
+         std::to_string(top));
   }
 
-  // Quantification cubes span exactly their halves of the interleaving.
-  const auto cube_support_is = [&](Bdd cube, bool primed_half,
-                                   const std::string& what) {
-    std::vector<std::uint32_t> expect(n);
-    for (std::uint32_t v = 0; v < n; ++v)
-      expect[v] = primed_half ? primed(v) : unprimed(v);
-    if (mgr_->support_vars(cube) != expect)
-      fail(what + " does not span exactly its half of the state variables");
-  };
-  cube_support_is(unprimed_cube_.get(), false, "unprimed cube");
-  cube_support_is(primed_cube_.get(), true, "primed cube");
-
   // Reachable (when computed): a set over unprimed variables containing the
-  // initial states and closed under the post image — i.e., a fixpoint.
+  // initial states and closed under the post image — i.e., a fixpoint.  The
+  // closure check images through the kernels, so it needs the pair layout.
   if (reachable_.has_value()) {
     const Bdd reach = reachable_->get();
     unprimed_only(reach, "reachable set");
     if (mgr_->bdd_diff(initial_.get(), reach).get() != kBddFalse)
       fail("initial states escape the reachable set");
-    const BddRef image = post_image(reach);
-    if (mgr_->bdd_diff(image.get(), reach).get() != kBddFalse)
+    if (pairs_adjacent &&
+        mgr_->bdd_diff(post_image(reach), reach).get() != kBddFalse)
       fail("reachable set is not a fixpoint: post_image adds states");
   }
   return report;

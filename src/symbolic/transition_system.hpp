@@ -7,25 +7,30 @@
 // primitives mirroring the CSR primitives of kripke::Structure, over
 // sets-as-BDDs, so the state space is never enumerated.
 //
-// Image computation: reachable() chains the parts to saturation (the big
-// win: one sweep carries the ring token all the way around), while the
-// single-step pre/post images run one relational product against the
-// lazily combined relation — the parts keep the COMBINE cheap, and a lone
-// and_exists measured ~5x faster than a per-part product-and-OR loop for
-// the EX-heavy CTL fixpoints.
+// Image computation: every image is one call of a fused pair kernel
+// (BddManager::pair_pre_image / pair_post_image), which quantifies by
+// variable parity and does the prime/unprime renaming inside the same
+// recursion — no primed copy of a set is ever built.  reachable() chains
+// the parts to saturation (the big win: one sweep carries the ring token
+// all the way around), while the single-step pre/post images run against
+// the lazily combined relation (the parts keep the COMBINE cheap).  The
+// pre-image takes a care set (`within`): the CTL fixpoints pass the set
+// they would intersect the image with anyway, and the kernel never
+// explores predecessors outside it.
 //
 // Lifetimes: everything the system retains — initial set, partition,
-// prop functions, quantification cubes, the cached monolithic relation
-// and reachable set — is held in BddRef roots, so it survives garbage
+// prop functions, the cached monolithic relation and reachable set — is
+// held in BddRef roots, so it survives garbage
 // collection and reordering while everything transient (image
 // intermediates, fixpoint frontiers) becomes collectible the moment its
 // ref dies.  The image primitives return BddRef: callers own their
 // results.
 //
 // Variable convention: state variable v (0-based, v < num_state_vars) owns
-// the BDD variable pair (2v, 2v+1) — unprimed interleaved with primed, so
-// the prime/unprime renames are order-preserving and structure-preserving
-// (and stay so across dynamic reordering, which group-sifts the pairs).
+// the BDD variable pair (2v, 2v+1) — unprimed interleaved with primed, each
+// pair on adjacent levels with the unprimed variable on top.  The image
+// kernels rely on this layout (audit() checks it); dynamic reordering keeps
+// it by group-sifting the pairs.
 #pragma once
 
 #include <cstdint>
@@ -88,11 +93,13 @@ class TransitionSystem {
   /// Total BDD nodes across the partition (shared nodes counted once).
   [[nodiscard]] std::size_t relation_node_count() const;
 
-  /// { x | exists x'. T(x, x') & S(x') } — states with some successor in S.
-  [[nodiscard]] BddRef pre_image(Bdd states) const;
+  /// { x in within | exists x'. T(x, x') & S(x') } — the states of `within`
+  /// with some successor in S, in one kernel call (`within` over unprimed
+  /// variables; the default keeps every predecessor).
+  [[nodiscard]] BddRef pre_image(Bdd states, Bdd within = kBddTrue) const;
 
   /// { x' | exists x. S(x) & T(x, x') } — states with some predecessor in S,
-  /// renamed back to unprimed variables.
+  /// returned over unprimed variables.
   [[nodiscard]] BddRef post_image(Bdd states) const;
 
   /// Least fixpoint of I | post_image(.), computed once, cached and
@@ -139,10 +146,10 @@ class TransitionSystem {
   /// Deep cross-structure audit (the system-level counterpart of
   /// BddManager::audit): supports lie inside the declared variable sets
   /// (parts over the interleaved pairs, initial/props/reachable over
-  /// unprimed variables only), the prime/unprime rename maps are mutual
-  /// inverses over the state pairs, the quantification cubes span their
-  /// halves, and — once computed — reachable() contains the initial states
-  /// and is closed under post_image.
+  /// unprimed variables only), every (2v, 2v+1) pair sits on adjacent
+  /// levels with 2v on top (the layout the image kernels read), and — once
+  /// computed, and with the layout intact — reachable() contains the
+  /// initial states and is closed under post_image.
   [[nodiscard]] BddManager::AuditReport audit() const;
 
   /// Throws Error listing every failure when audit() fails.  The ICTL_AUDIT
@@ -159,10 +166,6 @@ class TransitionSystem {
   kripke::PropRegistryPtr registry_;
   std::vector<std::pair<kripke::PropId, BddRef>> props_;  // sorted by PropId
   std::vector<std::uint32_t> index_set_;
-  BddRef unprimed_cube_;
-  BddRef primed_cube_;
-  std::vector<std::uint32_t> to_primed_;    // rename map: 2v -> 2v+1
-  std::vector<std::uint32_t> to_unprimed_;  // rename map: 2v+1 -> 2v
   mutable std::optional<BddRef> monolithic_;
   mutable std::optional<BddRef> reachable_;
 };

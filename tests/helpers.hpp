@@ -14,8 +14,8 @@ namespace ictl::testing {
 /// A deterministic level2var order that keeps each (2k, 2k+1) BDD-variable
 /// pair adjacent (unprimed on top) but scrambles the pair blocks — the
 /// legal order family for a manager carrying a symbolic::TransitionSystem's
-/// unprimed/primed interleaving (rename's order-preservation and group
-/// sifting both rely on it).
+/// unprimed/primed interleaving (the pair-image kernels and group sifting
+/// both rely on it).
 inline std::vector<std::uint32_t> scrambled_pair_order(std::uint32_t num_vars,
                                                        std::uint64_t seed) {
   std::vector<std::uint32_t> blocks(num_vars / 2);

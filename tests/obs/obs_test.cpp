@@ -3,8 +3,9 @@
 // tree (nesting, aggregation across repeated spans, the percent-of-total
 // report), span runtime gating (a disabled span records nothing), and the
 // Chrome-trace emitter (balanced B/E pairs, monotone timestamps, span
-// args), and the spine's two consumers in the engines: the checker
-// façades' publish_stats bridge and the evaluator's per-opcode spans.
+// args), and the spine's consumers in the engines: the checker façades'
+// publish_stats bridge, the evaluator's per-opcode spans, and the symbolic
+// image counters.
 // Recording tests skip when the instrumentation is compiled out
 // (-DICTL_OBS=OFF): the classes still exist there — only recording stops.
 #include <gtest/gtest.h>
@@ -206,6 +207,31 @@ TEST_F(ObsRecordingTest, ProfilerOwnsPerOpcodeTiming) {
     EXPECT_EQ(node.count, executed) << label;
     EXPECT_GT(node.total_ns, 0u) << label;
   }
+}
+
+TEST_F(ObsRecordingTest, SymbolicImageCountersCountEveryImage) {
+  const Registry& global = Registry::global();
+  const std::uint64_t posts_before = global.value("sym", "post_images");
+  const std::uint64_t sweeps_before = global.value("sym", "saturation_sweeps");
+  const auto sym = symbolic::build_symbolic_ring(6);
+  static_cast<void>(sym.system->reachable());
+  // Each saturation sweep images every part at least once, and each of
+  // those images counts as a post-image.
+  const std::uint64_t sweeps = global.value("sym", "saturation_sweeps") - sweeps_before;
+  ASSERT_GT(sweeps, 0u);
+  EXPECT_GE(global.value("sym", "post_images") - posts_before,
+            sweeps * sym.system->partition().size());
+
+  // One pre-image per EX and per EU/EG iteration over the Section 5 suite.
+  symbolic::CtlChecker checker(sym.system);
+  const std::uint64_t pres_before = global.value("sym", "pre_images");
+  for (const auto& [name, f] : ring::section5_specifications())
+    EXPECT_TRUE(checker.holds_initially(f)) << name;
+  const eval::EvalStats& e = checker.eval_stats();
+  ASSERT_GT(e.fixpoint_iterations, 0u);
+  EXPECT_EQ(global.value("sym", "pre_images") - pres_before,
+            e.fixpoint_iterations +
+                e.op_count[static_cast<std::size_t>(eval::OpCode::kEX)]);
 }
 
 /// The compiled core's registry keys under `scope` carry exactly the

@@ -1,13 +1,16 @@
 // Unit tests for the BDD manager: canonicity (hash-consing), the ITE
-// identities, quantification, renaming, counting, and the computed-table /
-// reorder-hook plumbing.  Operators are validated against brute-force
+// identities, quantification, the pair-image kernels, counting, and the
+// computed-table / reorder-hook plumbing.  Operators are validated against brute-force
 // truth-table evaluation over small variable counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <random>
+#include <utility>
 #include <vector>
 
+#include "../helpers.hpp"
 #include "symbolic/bdd.hpp"
 
 namespace ictl::symbolic {
@@ -116,32 +119,153 @@ TEST(BddManager, Quantification) {
   EXPECT_EQ(mgr.exists(f, mgr.cube({2})), mgr.bdd_or(f0, f1));
 }
 
-TEST(BddManager, AndExistsMatchesComposition) {
-  BddManager mgr(6);
-  // Random-ish pairs: and_exists(f, g, cube) == exists(f & g, cube).
-  std::vector<Bdd> pool = {
-      mgr.bdd_xor(mgr.var(0), mgr.var(3)),
-      mgr.bdd_or(mgr.var(1), mgr.bdd_and(mgr.var(2), mgr.var(5))),
-      mgr.bdd_and(mgr.bdd_not(mgr.var(4)), mgr.var(0)),
-      mgr.bdd_iff(mgr.var(2), mgr.var(3))};
-  const Bdd cube = mgr.cube({1, 3, 5});
-  for (const Bdd f : pool)
-    for (const Bdd g : pool)
-      EXPECT_EQ(mgr.and_exists(f, g, cube), mgr.exists(mgr.bdd_and(f, g), cube));
+// ---- Pair-image kernels ------------------------------------------------------
+//
+// pair_pre_image / pair_post_image against the reference composition
+// bdd_and + exists on random small managers over the (2k, 2k+1) pair
+// layout.  Every random state set is built twice from one minterm list —
+// once over x (even variables), once over x' (odd ones) — so the reference
+// needs no renaming.
+
+constexpr std::uint32_t kPairStateVars = 4;
+constexpr std::uint32_t kPairStates = 1u << kPairStateVars;
+
+/// A random minterm list: each of the `universe` values kept with
+/// probability 1/3.
+std::vector<std::uint32_t> random_minterms(std::mt19937& rng, std::uint32_t universe) {
+  std::vector<std::uint32_t> out;
+  for (std::uint32_t m = 0; m < universe; ++m)
+    if (rng() % 3 == 0) out.push_back(m);
+  return out;
 }
 
-TEST(BddManager, RenameShiftsVariables) {
+/// The state minterm `s` over the even (primed = false) or odd variables.
+BddRef pair_minterm(BddManager& mgr, std::uint32_t s, bool primed) {
+  BddRef acc(mgr, kBddTrue);
+  for (std::uint32_t k = 0; k < kPairStateVars; ++k) {
+    const std::uint32_t v = 2 * k + (primed ? 1 : 0);
+    acc = mgr.bdd_and(acc, ((s >> k) & 1u) != 0 ? mgr.var(v) : mgr.nvar(v));
+  }
+  return acc;
+}
+
+BddRef pair_set(BddManager& mgr, const std::vector<std::uint32_t>& states, bool primed) {
+  BddRef acc(mgr, kBddFalse);
+  for (const std::uint32_t s : states)
+    acc = mgr.bdd_or(acc, pair_minterm(mgr, s, primed));
+  return acc;
+}
+
+/// A relation from a minterm list over (source, target) pairs, s * 16 + t.
+BddRef pair_relation(BddManager& mgr, const std::vector<std::uint32_t>& edges) {
+  BddRef acc(mgr, kBddFalse);
+  for (const std::uint32_t e : edges)
+    acc = mgr.bdd_or(acc, mgr.bdd_and(pair_minterm(mgr, e / kPairStates, false),
+                                      pair_minterm(mgr, e % kPairStates, true)));
+  return acc;
+}
+
+/// One random pair-layout manager: a scrambled pair order, a relation and
+/// state/care sets (over x and x'), optionally sifted once everything is
+/// built.  Every function is held in a BddRef across the sift.
+struct PairWorkbench {
+  BddManager mgr{2 * kPairStateVars};
+  BddRef relation, states, states_primed, care;
+  BddRef unprimed_cube, primed_cube;
+  bool reordered = false;  // the sift moved at least one pair
+
+  PairWorkbench(std::uint32_t seed, bool sift) {
+    const std::vector<std::uint32_t> order =
+        testing::scrambled_pair_order(2 * kPairStateVars, seed);
+    mgr.set_initial_order(order);
+    std::mt19937 rng(seed);
+    relation = pair_relation(mgr, random_minterms(rng, kPairStates * kPairStates));
+    const std::vector<std::uint32_t> s = random_minterms(rng, kPairStates);
+    states = pair_set(mgr, s, false);
+    states_primed = pair_set(mgr, s, true);
+    care = pair_set(mgr, random_minterms(rng, kPairStates), false);
+    std::vector<std::uint32_t> evens, odds;
+    for (std::uint32_t k = 0; k < kPairStateVars; ++k) {
+      evens.push_back(2 * k);
+      odds.push_back(2 * k + 1);
+    }
+    unprimed_cube = mgr.cube(evens);
+    primed_cube = mgr.cube(odds);
+    if (sift) static_cast<void>(mgr.reorder_now());
+    reordered = mgr.current_order() != order;
+  }
+};
+
+TEST(BddManager, PairPreImageMatchesComposition) {
+  std::uint32_t reordered = 0;
+  for (std::uint32_t seed = 1; seed <= 12; ++seed)
+    for (const bool sift : {false, true}) {
+      PairWorkbench w(seed, sift);
+      BddManager& mgr = w.mgr;
+      reordered += w.reordered ? 1 : 0;
+      // States: random, false, true (each given over x and over x').
+      const std::vector<std::pair<Bdd, Bdd>> state_cases = {
+          {w.states, w.states_primed}, {kBddFalse, kBddFalse}, {kBddTrue, kBddTrue}};
+      for (const auto& [s, s_primed] : state_cases)
+        for (const Bdd rel : {w.relation.get(), kBddTrue})
+          for (const Bdd care : {kBddTrue, s, w.care.get()}) {
+            const BddRef expected = mgr.bdd_and(
+                care, mgr.exists(mgr.bdd_and(rel, s_primed), w.primed_cube));
+            EXPECT_EQ(mgr.pair_pre_image(care, rel, s), expected)
+                << "seed " << seed << " sift " << sift;
+          }
+      const auto rep = mgr.audit();
+      ASSERT_TRUE(rep.ok()) << rep.to_string();
+    }
+  EXPECT_GT(reordered, 0u);  // the sift legs ran on moved orders
+}
+
+TEST(BddManager, PairPostImageMatchesComposition) {
+  for (std::uint32_t seed = 1; seed <= 12; ++seed)
+    for (const bool sift : {false, true}) {
+      PairWorkbench w(seed, sift);
+      BddManager& mgr = w.mgr;
+      for (const Bdd s : {w.states.get(), kBddFalse, kBddTrue})
+        for (const Bdd rel : {w.relation.get(), kBddTrue}) {
+          // The reference image lies over x', the kernel's over x: compare
+          // them state by state.
+          const BddRef expected = mgr.exists(mgr.bdd_and(rel, s), w.unprimed_cube);
+          const BddRef image = mgr.pair_post_image(rel, s);
+          for (const std::uint32_t v : mgr.support_vars(image)) EXPECT_EQ(v % 2, 0u);
+          for (std::uint32_t t = 0; t < kPairStates; ++t) {
+            std::vector<bool> as_x(mgr.num_vars(), false);
+            std::vector<bool> as_primed(mgr.num_vars(), false);
+            for (std::uint32_t k = 0; k < kPairStateVars; ++k) {
+              as_x[2 * k] = ((t >> k) & 1u) != 0;
+              as_primed[2 * k + 1] = ((t >> k) & 1u) != 0;
+            }
+            EXPECT_EQ(mgr.eval(image, as_x), mgr.eval(expected, as_primed))
+                << "seed " << seed << " sift " << sift << " state " << t;
+          }
+        }
+      const auto rep = mgr.audit();
+      ASSERT_TRUE(rep.ok()) << rep.to_string();
+    }
+}
+
+TEST(BddManager, PairPostImageEmitsUnprimedVariables) {
   BddManager mgr(6);
-  // Order-preserving shift 0->1, 2->3, 4->5 (the unprimed->primed pattern).
-  std::vector<std::uint32_t> map = {1, 1, 3, 3, 5, 5};
-  const Bdd f = mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(2)), mgr.var(4));
-  const Bdd renamed = mgr.rename(f, map);
-  const Bdd expected =
-      mgr.bdd_or(mgr.bdd_and(mgr.var(1), mgr.var(3)), mgr.var(5));
-  EXPECT_EQ(renamed, expected);
-  // Renaming back round-trips.
-  std::vector<std::uint32_t> back = {0, 0, 2, 2, 4, 4};
-  EXPECT_EQ(mgr.rename(renamed, back), f);
+  // The "shift" relation x'_k <-> x_k: its post-image is the set itself,
+  // returned over the unprimed variables 0, 2, 4.
+  BddRef identity(mgr, kBddTrue);
+  for (std::uint32_t k = 0; k < 3; ++k)
+    identity = mgr.bdd_and(identity, mgr.bdd_iff(mgr.var(2 * k), mgr.var(2 * k + 1)));
+  const BddRef f = mgr.bdd_or(mgr.bdd_and(mgr.var(0), mgr.var(2)), mgr.var(4));
+  EXPECT_EQ(mgr.pair_post_image(identity, f), f);
+  EXPECT_EQ(mgr.pair_pre_image(kBddTrue, identity, f), f);
+  // A relation that ignores the source: every state steps to x'_1 & !x'_2.
+  const BddRef target = mgr.bdd_and(mgr.var(3), mgr.nvar(5));
+  EXPECT_EQ(mgr.pair_post_image(target, f), mgr.bdd_and(mgr.var(2), mgr.nvar(4)));
+  // Its pre-image of any set meeting the target is everything (then cut
+  // to the care set), and of a set missing it, nothing.
+  EXPECT_EQ(mgr.pair_pre_image(kBddTrue, target, mgr.var(2)), kBddTrue);
+  EXPECT_EQ(mgr.pair_pre_image(f, target, mgr.var(2)), f);
+  EXPECT_EQ(mgr.pair_pre_image(kBddTrue, target, mgr.var(4)), kBddFalse);
 }
 
 TEST(BddManager, SatCount) {

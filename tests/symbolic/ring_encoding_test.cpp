@@ -154,7 +154,7 @@ TEST(SymbolicRing, SharedRegistryAlignsPropIds) {
 TEST(SymbolicRing, SharedManagerAcrossSizes) {
   // Two ring sizes on one manager: the second build grows the variable
   // universe, and the first system's images/counts must keep working
-  // (its rename maps cover only its own support — by design).
+  // (the image kernels read only the pairs its own sets mention).
   auto mgr = std::make_shared<BddManager>(0);
   auto reg = kripke::make_registry();
   const SymbolicRing small = build_symbolic_ring(3, mgr, reg);
