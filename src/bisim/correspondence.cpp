@@ -195,12 +195,12 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
   auto md_of = [&](StateId s, StateId s2) -> std::uint64_t {
     return md[static_cast<std::size_t>(s) * n2 + s2];
   };
+  auto plus_one = [](std::uint64_t d) { return d >= kInf ? kInf : d + 1; };
 
   // Greatest fixpoint: raise each pair's minimal degree until the Section 3
   // clauses hold; pairs exceeding the cap die.  Monotone (degrees only
-  // grow), so this terminates.  (A pair-level worklist was tried and lost
-  // to the batched sweep: degrees creep up one unit at a time, so change
-  // propagation re-examines pairs once per unit instead of once per round.)
+  // grow), so this terminates, and every fair chaotic order reaches the same
+  // least degree assignment.
   //
   // The inner "does s->t pair with some s'-move" test only depends on which
   // pairs are alive, so it is cached in two pair bitsets and maintained on
@@ -208,6 +208,19 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
   // O(deg1 + deg2):
   //   joint_b(t, s2) = exists t2 in succ(s2) with (t, t2) alive,
   //   joint_c(s, t2) = exists t  in succ(s)  with (t, t2) alive.
+  //
+  // Rounds are Gauss-Seidel sweeps in candidate order, but a sweep evaluates
+  // only dirty pairs: those whose inputs changed since their last
+  // evaluation.  Re-evaluating a clean pair would reproduce its entry, so
+  // skipping it changes nothing — rounds, degrees and survivors are those of
+  // the full sweep.  (This is not the FIFO pair worklist that was tried and
+  // lost to the batched sweep: degrees creep up one unit at a time, so a
+  // worklist re-examines a pair once per unit, while the dirty sweep keeps
+  // the sweep order and examines a pair at most once per round.)  Pair
+  // (s, s2) reads md(s, succ s2), md(succ s, s2), joint_b(succ s, s2) and
+  // joint_c(s, succ s2), so a change of (u, v) dirties (u, pred v) and
+  // (pred u, v), and a cleared joint_b(u, s2) / joint_c(s, v) dirties
+  // pred u x {s2} / {s} x pred v.
   const std::size_t num_pairs = n1 * n2;
   support::DynamicBitset joint_b(num_pairs), joint_c(num_pairs);
   for (const std::uint64_t k : candidates) {
@@ -218,6 +231,17 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
     for (const StateId s : m1.predecessors(t))
       joint_c.set(static_cast<std::size_t>(s) * n2 + t2);
   }
+
+  support::DynamicBitset dirty(num_pairs);
+  for (const std::uint64_t k : candidates) dirty.set(static_cast<std::size_t>(k));
+  auto mark = [&](StateId s, StateId s2) {
+    dirty.set(static_cast<std::size_t>(s) * n2 + s2);
+  };
+
+  auto on_change = [&](StateId u, StateId v) {
+    for (const StateId s2 : m2.predecessors(v)) mark(u, s2);
+    for (const StateId s : m1.predecessors(u)) mark(s, v);
+  };
 
   auto on_death = [&](StateId u, StateId v) {
     // Recompute the joint flags that listed (u, v) as a witness.
@@ -230,7 +254,9 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
           alive = true;
           break;
         }
-      if (!alive) joint_b.reset(jk);
+      if (alive) continue;
+      joint_b.reset(jk);
+      for (const StateId s : m1.predecessors(u)) mark(s, s2);
     }
     for (const StateId s : m1.predecessors(u)) {
       const std::size_t jk = static_cast<std::size_t>(s) * n2 + v;
@@ -241,7 +267,9 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
           alive = true;
           break;
         }
-      if (!alive) joint_c.reset(jk);
+      if (alive) continue;
+      joint_c.reset(jk);
+      for (const StateId s2 : m2.predecessors(v)) mark(s, s2);
     }
   };
 
@@ -258,48 +286,49 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
         // Rounds over a large candidate set can be long on their own;
         // keep the deadline responsive with a batched in-round check.
         if ((++scanned & 0xfff) == 0) rt::checkpoint("bisim/degree_fixpoint");
+        if (!dirty.test(static_cast<std::size_t>(k))) continue;
+        dirty.reset(static_cast<std::size_t>(k));
         std::uint64_t& entry = md[k];
         if (entry >= kInf) continue;
+        ++result.pair_evaluations;
         const auto s = static_cast<StateId>(k / n2);
         const auto s2 = static_cast<StateId>(k % n2);
-
         // Minimal degree satisfying clause 2b:
         //   min( A + 1, max over s-moves of per-move cost ), where
         //   A = min over s'-moves t2 of md(s, t2)   (first disjunct), and the
         //   per-move cost of s->t is 0 when t pairs with some s'-move, else
         //   md(t, s2) + 1 (t stays against s2, consuming one degree).
-        std::uint64_t stay_b = kInf;  // A + 1
-        for (const StateId t2 : m2.successors(s2))
-          stay_b = std::min(stay_b, md_of(s, t2) >= kInf ? kInf : md_of(s, t2) + 1);
-        std::uint64_t all_b = 0;
+        // Clause 2c is the mirror image, so one pass over each side's moves
+        // serves both: the s'-moves give A + 1 (stay_b) and 2c's per-move
+        // maximum (all_c), the s-moves give stay_c and all_b.
+        std::uint64_t stay_b = kInf, all_c = 0;
+        for (const StateId t2 : m2.successors(s2)) {
+          const std::uint64_t cost = plus_one(md_of(s, t2));
+          stay_b = std::min(stay_b, cost);
+          if (!joint_c.test(static_cast<std::size_t>(s) * n2 + t2))
+            all_c = std::max(all_c, cost);
+        }
+        std::uint64_t stay_c = kInf, all_b = 0;
         for (const StateId t : m1.successors(s)) {
-          if (joint_b.test(static_cast<std::size_t>(t) * n2 + s2)) continue;
-          const std::uint64_t cost = md_of(t, s2) >= kInf ? kInf : md_of(t, s2) + 1;
-          all_b = std::max(all_b, cost);
+          const std::uint64_t cost = plus_one(md_of(t, s2));
+          stay_c = std::min(stay_c, cost);
+          if (!joint_b.test(static_cast<std::size_t>(t) * n2 + s2))
+            all_b = std::max(all_b, cost);
         }
         const std::uint64_t need_b = std::min(stay_b, all_b);
-
-        // Mirror for clause 2c.
-        std::uint64_t stay_c = kInf;
-        for (const StateId t : m1.successors(s))
-          stay_c = std::min(stay_c, md_of(t, s2) >= kInf ? kInf : md_of(t, s2) + 1);
-        std::uint64_t all_c = 0;
-        for (const StateId t2 : m2.successors(s2)) {
-          if (joint_c.test(static_cast<std::size_t>(s) * n2 + t2)) continue;
-          const std::uint64_t cost = md_of(s, t2) >= kInf ? kInf : md_of(s, t2) + 1;
-          all_c = std::max(all_c, cost);
-        }
         const std::uint64_t need_c = std::min(stay_c, all_c);
 
         const std::uint64_t need = std::max({entry, need_b, need_c});
         if (need != entry) {
           entry = need > cap ? kInf : need;
+          on_change(s, s2);
           if (entry >= kInf) on_death(s, s2);
           changed = true;
         }
       }
     }
     ICTL_SPAN_ARG("iterations", result.iterations);
+    ICTL_SPAN_ARG("pair_evaluations", result.pair_evaluations);
   }
 
   std::size_t surviving = 0;
@@ -312,6 +341,7 @@ FindResult find_correspondence(const kripke::Structure& m1, const kripke::Struct
   if (init_md >= kInf) return result;  // no correspondence
 
   CorrespondenceRelation relation(m1, m2);
+  relation.reserve(surviving);
   for (const std::uint64_t k : candidates) {
     if (md[k] >= kInf) continue;
     relation.add(static_cast<StateId>(k / n2), static_cast<StateId>(k % n2),

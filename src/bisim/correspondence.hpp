@@ -49,6 +49,9 @@ class CorrespondenceRelation {
   /// existing pair lowers the pair's minimal degree.
   void add(kripke::StateId s, kripke::StateId s2, std::uint32_t degree);
 
+  /// Sizes the relation for `pairs` entries up front.
+  void reserve(std::size_t pairs) { min_degree_.reserve(pairs); }
+
   [[nodiscard]] bool related(kripke::StateId s, kripke::StateId s2) const;
 
   /// Minimal degree recorded for the pair; nullopt when unrelated.
@@ -116,6 +119,10 @@ struct FindResult {
   std::size_t surviving_pairs = 0;
   /// Fixpoint sweep rounds until stabilization.
   std::size_t iterations = 0;
+  /// Pair evaluations across all rounds.  A round evaluates only the live
+  /// pairs whose inputs changed, so this is at most
+  /// candidate_pairs * iterations.
+  std::size_t pair_evaluations = 0;
 };
 
 /// Decides whether `m1` and `m2` correspond (Section 3) and returns the

@@ -29,6 +29,7 @@ IndexedFindResult find_indexed_correspondence(const kripke::Structure& m1,
   result.candidate_pairs = found.candidate_pairs;
   result.surviving_pairs = found.surviving_pairs;
   result.iterations = found.iterations;
+  result.pair_evaluations = found.pair_evaluations;
   return result;
 }
 

@@ -39,6 +39,7 @@ struct IndexedFindResult {
   std::size_t candidate_pairs = 0;
   std::size_t surviving_pairs = 0;
   std::size_t iterations = 0;
+  std::size_t pair_evaluations = 0;
 
   [[nodiscard]] bool corresponds() const { return relation.has_value(); }
   /// Minimal degree of the initial-state pair (only when corresponds()).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "rt/budget.hpp"
+#include "bisim/stuttering.hpp"
 #include "support/error.hpp"
 
 namespace ictl::bisim {
@@ -37,28 +37,9 @@ kripke::StructureBuilder block_states(const kripke::Structure& m, const Partitio
 }
 
 /// Blocks in which some member has an infinite run of block-internal
-/// transitions (greatest fixpoint of "has an inert successor that also
-/// diverges").
+/// transitions.
 std::vector<bool> divergent_blocks(const kripke::Structure& m, const Partition& p) {
-  std::vector<bool> divergent_state(m.num_states(), true);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    rt::charge_iteration("bisim/divergence");
-    for (StateId s = 0; s < m.num_states(); ++s) {
-      if (!divergent_state[s]) continue;
-      bool has = false;
-      for (const StateId t : m.successors(s))
-        if (p.same_block(s, t) && divergent_state[t]) {
-          has = true;
-          break;
-        }
-      if (!has) {
-        divergent_state[s] = false;
-        changed = true;
-      }
-    }
-  }
+  const std::vector<bool> divergent_state = divergent_states(m, p);
   std::vector<bool> result(p.num_blocks(), false);
   for (StateId s = 0; s < m.num_states(); ++s)
     if (divergent_state[s]) result[p.block_of(s)] = true;

@@ -22,7 +22,7 @@ FormulaPtr at_least_k_processes(std::size_t k) {
   FormulaPtr body = logic::f_true();
   // Build inside-out: phi_0 = true, phi_j = \/i (a[i] & EF(b[i] & phi_{j-1})).
   for (std::size_t j = k; j >= 1; --j) {
-    const std::string var = "i" + std::to_string(j);
+    const std::string var = std::string("i").append(std::to_string(j));
     body = logic::exists_index(
         var, logic::make_and(logic::iatom("a", var),
                              logic::EF(logic::make_and(logic::iatom("b", var), body))));
@@ -37,7 +37,7 @@ std::vector<FormulaPtr> depth_k_formula_family(std::size_t depth) {
 
   std::vector<FormulaPtr> inner = depth_k_formula_family(depth - 1);
   std::vector<FormulaPtr> out;
-  const std::string var = "v" + std::to_string(depth);
+  const std::string var = std::string("v").append(std::to_string(depth));
   const FormulaPtr a = iatom("a", var);
   const FormulaPtr b = iatom("b", var);
   for (const FormulaPtr& body : inner) {

@@ -70,8 +70,10 @@ class ExplicitRingCorrespondence {
 };
 
 /// Mechanically certified Theorem 5 evidence between two explicit rings:
-/// runs the generic Section 3 decision procedure on every IN pair.
-/// Succeeds iff min(size) >= 3 or the sizes are equal.
+/// bisim::certify_theorem5 over ring_index_relation(base, target), which runs
+/// the generic Section 3 decision procedure on every IN pair; each failing
+/// pair's note names both rings.  Succeeds iff min(size) >= 3 or the sizes
+/// are equal.
 [[nodiscard]] bisim::Theorem5Certificate explicit_ring_certificate(
     const RingSystem& base, const RingSystem& target,
     bisim::FindOptions options = {});

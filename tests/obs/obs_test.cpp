@@ -4,8 +4,8 @@
 // report), span runtime gating (a disabled span records nothing), and the
 // Chrome-trace emitter (balanced B/E pairs, monotone timestamps, span
 // args), and the spine's consumers in the engines: the checker façades'
-// publish_stats bridge, the evaluator's per-opcode spans, and the symbolic
-// image counters.
+// publish_stats bridge, the evaluator's per-opcode spans, the symbolic
+// image counters, and the correspondence spans' work-count args.
 // Recording tests skip when the instrumentation is compiled out
 // (-DICTL_OBS=OFF): the classes still exist there — only recording stops.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 
+#include "bisim/indexed_correspondence.hpp"
 #include "eval/fixpoint_program.hpp"
 #include "mc/ctl_checker.hpp"
 #include "obs/obs.hpp"
@@ -232,6 +233,24 @@ TEST_F(ObsRecordingTest, SymbolicImageCountersCountEveryImage) {
   EXPECT_EQ(global.value("sym", "pre_images") - pres_before,
             e.fixpoint_iterations +
                 e.op_count[static_cast<std::size_t>(eval::OpCode::kEX)]);
+}
+
+TEST_F(ObsRecordingTest, CorrespondenceSpansCarryTheirWorkCounts) {
+  const auto reg = kripke::make_registry();
+  const auto m3 = ring::RingSystem::build(3, reg);
+  const auto m4 = ring::RingSystem::build(4, reg);
+  std::stringstream out;
+  trace_start();
+  const bisim::IndexedFindResult found =
+      bisim::find_indexed_correspondence(m3.structure(), m4.structure(), 3, 4);
+  trace_stop(out);
+  ASSERT_TRUE(found.corresponds());
+  const std::string json = out.str();
+  // bisim/degree_fixpoint closes with the evaluation count the result
+  // reports; bisim/stuttering_prefilter with its refinement rounds.
+  EXPECT_NE(json.find("\"pair_evaluations\": " + std::to_string(found.pair_evaluations)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"rounds\": "), std::string::npos);
 }
 
 /// The compiled core's registry keys under `scope` carry exactly the

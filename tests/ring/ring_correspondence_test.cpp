@@ -96,6 +96,11 @@ TEST(ExplicitCertificate, BaseTwoFails) {
   const auto m4 = testing::ring_of(4, reg);
   const auto cert = explicit_ring_certificate(m2, m4);
   EXPECT_FALSE(cert.valid);
+  // Every failing IN pair's note names both rings.
+  ASSERT_FALSE(cert.notes.empty());
+  for (const auto& note : cert.notes)
+    EXPECT_NE(note.find("-correspondence exists between M_2 and M_4"), std::string::npos)
+        << note;
 }
 
 TEST(AnalyticCertificate, MatchesExplicitForSmallSizes) {
