@@ -50,10 +50,11 @@ void BM_RingReductionCorrespondence(benchmark::State& state) {
   options.use_stuttering_prefilter = prefilter;
   std::size_t candidates = 0;
   for (auto _ : state) {
-    auto found = bisim::find_indexed_correspondence(m3.structure(), mr.structure(),
-                                                    2, 2, options);
+    const auto a = kripke::reduce_to_index(m3.structure(), 2);
+    const auto b = kripke::reduce_to_index(mr.structure(), 2);
+    auto found = bisim::find_correspondence(a, b, options);
     candidates = found.candidate_pairs;
-    benchmark::DoNotOptimize(found.corresponds());
+    benchmark::DoNotOptimize(found.relation.has_value());
   }
   state.counters["candidate_pairs"] = static_cast<double>(candidates);
   state.SetLabel(prefilter ? "with_prefilter" : "no_prefilter");

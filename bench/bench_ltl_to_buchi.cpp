@@ -9,9 +9,9 @@ namespace {
 using namespace ictl;
 
 logic::FormulaPtr until_chain(std::size_t n) {
-  logic::FormulaPtr f = logic::atom("p" + std::to_string(n));
+  logic::FormulaPtr f = logic::atom(std::string("p").append(std::to_string(n)));
   for (std::size_t i = n - 1; i >= 1; --i)
-    f = logic::make_until(logic::atom("p" + std::to_string(i)), f);
+    f = logic::make_until(logic::atom(std::string("p").append(std::to_string(i))), f);
   return f;
 }
 
@@ -34,7 +34,7 @@ void BM_TableauFairness(benchmark::State& state) {
   std::vector<logic::FormulaPtr> conjuncts;
   for (std::size_t i = 1; i <= n; ++i)
     conjuncts.push_back(logic::make_always(
-        logic::make_eventually(logic::atom("p" + std::to_string(i)))));
+        logic::make_eventually(logic::atom(std::string("p").append(std::to_string(i))))));
   const auto f = logic::to_nnf(logic::desugar(logic::make_and(conjuncts)));
   std::size_t nodes = 0;
   for (auto _ : state) {

@@ -17,14 +17,13 @@ std::uint32_t IndexedFindResult::initial_degree() const {
 
 IndexedFindResult find_indexed_correspondence(const kripke::Structure& m1,
                                               const kripke::Structure& m2,
-                                              std::uint32_t i, std::uint32_t i2,
-                                              FindOptions options) {
+                                              std::uint32_t i, std::uint32_t i2) {
   IndexedFindResult result;
   result.reduced1 =
       std::make_unique<kripke::Structure>(kripke::reduce_to_index(m1, i));
   result.reduced2 =
       std::make_unique<kripke::Structure>(kripke::reduce_to_index(m2, i2));
-  FindResult found = find_correspondence(*result.reduced1, *result.reduced2, options);
+  FindResult found = find_correspondence(*result.reduced1, *result.reduced2);
   result.relation = std::move(found.relation);
   result.candidate_pairs = found.candidate_pairs;
   result.surviving_pairs = found.surviving_pairs;
@@ -57,8 +56,7 @@ bool Theorem5Certificate::transfers(const logic::FormulaPtr& f, std::string* why
 
 Theorem5Certificate certify_theorem5(const kripke::Structure& m1,
                                      const kripke::Structure& m2,
-                                     const std::vector<IndexPair>& in,
-                                     FindOptions options) {
+                                     const std::vector<IndexPair>& in) {
   Theorem5Certificate cert;
   cert.in_relation = in;
   cert.valid = true;
@@ -105,7 +103,7 @@ Theorem5Certificate certify_theorem5(const kripke::Structure& m1,
     auto it2 = red2.find(p.i2);
     if (it2 == red2.end())
       it2 = red2.emplace(p.i2, kripke::reduce_to_index(m2, p.i2)).first;
-    FindResult found = find_correspondence(it1->second, it2->second, options);
+    FindResult found = find_correspondence(it1->second, it2->second);
     if (!found.relation.has_value()) {
       cert.valid = false;
       cert.notes.push_back("no (" + std::to_string(p.i) + "," + std::to_string(p.i2) +

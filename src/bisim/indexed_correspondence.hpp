@@ -51,8 +51,7 @@ struct IndexedFindResult {
 [[nodiscard]] IndexedFindResult find_indexed_correspondence(const kripke::Structure& m1,
                                                             const kripke::Structure& m2,
                                                             std::uint32_t i,
-                                                            std::uint32_t i2,
-                                                            FindOptions options = {});
+                                                            std::uint32_t i2);
 
 /// Evidence that Theorem 5's premises hold for a pair of structures.
 struct Theorem5Certificate {
@@ -74,7 +73,6 @@ struct Theorem5Certificate {
 /// Checks IN-totality and (i,i')-correspondence for every pair of `in`.
 [[nodiscard]] Theorem5Certificate certify_theorem5(const kripke::Structure& m1,
                                                    const kripke::Structure& m2,
-                                                   const std::vector<IndexPair>& in,
-                                                   FindOptions options = {});
+                                                   const std::vector<IndexPair>& in);
 
 }  // namespace ictl::bisim

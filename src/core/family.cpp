@@ -5,7 +5,6 @@
 #include "ring/ring.hpp"
 #include "ring/ring_correspondence.hpp"
 #include "support/error.hpp"
-#include "symbolic/ring_encoding.hpp"
 
 namespace ictl::core {
 
@@ -17,15 +16,6 @@ std::uint32_t RingMutexFamily::max_explicit_size() const {
 
 kripke::Structure RingMutexFamily::instance(std::uint32_t r) const {
   return ring::RingSystem::build(r, registry_).structure();
-}
-
-std::uint32_t RingMutexFamily::max_symbolic_size() const {
-  return symbolic::kMaxSymbolicRingSize;
-}
-
-std::shared_ptr<symbolic::TransitionSystem> RingMutexFamily::symbolic_instance(
-    std::uint32_t r) const {
-  return symbolic::build_symbolic_ring(r, nullptr, registry_).system;
 }
 
 std::vector<bisim::IndexPair> RingMutexFamily::index_relation(std::uint32_t r0,

@@ -4,17 +4,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bisim/indexed_correspondence.hpp"
 #include "kripke/structure.hpp"
-
-namespace ictl::symbolic {
-class TransitionSystem;
-}
 
 namespace ictl::core {
 
@@ -50,21 +45,6 @@ class ParameterizedFamily {
     static_cast<void>(r);
     return std::nullopt;
   }
-
-  /// Largest size symbolic_instance() will build; 0 when the family has no
-  /// symbolic (BDD) encoding.  Families with an encoding support sizes far
-  /// past max_explicit_size() — the ring reaches r = 256 through its
-  /// partitioned relation.
-  [[nodiscard]] virtual std::uint32_t max_symbolic_size() const { return 0; }
-
-  /// A symbolic encoding of instance(r) over the family's shared registry
-  /// (so PropIds line up with the explicit instances); nullptr when the
-  /// family has no symbolic encoding.
-  [[nodiscard]] virtual std::shared_ptr<symbolic::TransitionSystem>
-  symbolic_instance(std::uint32_t r) const {
-    static_cast<void>(r);
-    return nullptr;
-  }
 };
 
 /// The Section 5 token-ring mutual exclusion family.
@@ -81,11 +61,6 @@ class RingMutexFamily final : public ParameterizedFamily {
       std::uint32_t r0, std::uint32_t r) const override;
   [[nodiscard]] std::optional<bisim::Theorem5Certificate> analytic_certificate(
       std::uint32_t r0, std::uint32_t r) const override;
-  /// symbolic::kMaxSymbolicRingSize (256) — the BDD route past the
-  /// explicit wall, as a rule-wise partitioned relation.
-  [[nodiscard]] std::uint32_t max_symbolic_size() const override;
-  [[nodiscard]] std::shared_ptr<symbolic::TransitionSystem> symbolic_instance(
-      std::uint32_t r) const override;
 
  private:
   kripke::PropRegistryPtr registry_;

@@ -9,8 +9,7 @@ namespace ictl::core {
 VerifyForAllResult verify_for_all(const ParameterizedFamily& family,
                                   const logic::FormulaPtr& formula,
                                   std::uint32_t base_size,
-                                  std::span<const std::uint32_t> sizes,
-                                  VerifyOptions options) {
+                                  std::span<const std::uint32_t> sizes) {
   support::require<VerificationError>(formula != nullptr,
                                       "verify_for_all: null formula");
   support::require<VerificationError>(
@@ -37,11 +36,9 @@ VerifyForAllResult verify_for_all(const ParameterizedFamily& family,
       outcome.certificate.method = FamilyCertificate::Method::kExplicit;
       outcome.certificate.theorem5.valid = true;
       outcome.certificate.theorem5.notes.push_back("identity (same size)");
-    } else if (options.use_analytic_certificates) {
-      if (auto analytic = family.analytic_certificate(base_size, r)) {
-        outcome.certificate.method = FamilyCertificate::Method::kAnalytic;
-        outcome.certificate.theorem5 = std::move(*analytic);
-      }
+    } else if (auto analytic = family.analytic_certificate(base_size, r)) {
+      outcome.certificate.method = FamilyCertificate::Method::kAnalytic;
+      outcome.certificate.theorem5 = std::move(*analytic);
     }
 
     if (outcome.certificate.method == FamilyCertificate::Method::kNone) {
@@ -49,7 +46,7 @@ VerifyForAllResult verify_for_all(const ParameterizedFamily& family,
         const kripke::Structure target = family.instance(r);
         outcome.certificate.method = FamilyCertificate::Method::kExplicit;
         outcome.certificate.theorem5 = bisim::certify_theorem5(
-            base, target, family.index_relation(base_size, r), options.find);
+            base, target, family.index_relation(base_size, r));
       } else {
         outcome.note =
             "size exceeds the explicit construction limit and the family "

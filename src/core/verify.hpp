@@ -42,18 +42,13 @@ struct VerifyForAllResult {
   }
 };
 
-struct VerifyOptions {
-  bisim::FindOptions find;
-  /// Prefer the family's analytic certificate when available.
-  bool use_analytic_certificates = true;
-};
-
 /// Runs the full method for `formula` over `family`: check at `base_size`,
-/// then certify and transfer to each entry of `sizes`.
+/// then certify and transfer to each entry of `sizes`.  A size takes the
+/// family's analytic certificate when it has one, else the explicit
+/// Section 3 procedure within the family's explicit range.
 [[nodiscard]] VerifyForAllResult verify_for_all(const ParameterizedFamily& family,
                                                 const logic::FormulaPtr& formula,
                                                 std::uint32_t base_size,
-                                                std::span<const std::uint32_t> sizes,
-                                                VerifyOptions options = {});
+                                                std::span<const std::uint32_t> sizes);
 
 }  // namespace ictl::core

@@ -30,12 +30,6 @@
 
 namespace ictl::eval {
 
-struct CtlCheckerOptions {
-  /// When false, an atom the backend cannot resolve raises LogicError; when
-  /// true it is treated as false in every state.
-  bool unknown_atoms_are_false = false;
-};
-
 template <StateSetOps Ops>
 class CompiledChecker {
  public:

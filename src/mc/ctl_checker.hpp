@@ -27,14 +27,13 @@
 namespace ictl::mc {
 
 using SatSet = support::DynamicBitset;
-using CtlCheckerOptions = eval::CtlCheckerOptions;
 
 /// sat(f) is the satisfying set over the whole state space; publish_stats
 /// writes under "mc/eval" and "mc/compile".
 class CtlChecker : public eval::CompiledChecker<ExplicitStateOps> {
  public:
-  explicit CtlChecker(const kripke::Structure& m, CtlCheckerOptions options = {})
-      : CompiledChecker("mc", m.index_set(), m, options.unknown_atoms_are_false) {
+  explicit CtlChecker(const kripke::Structure& m)
+      : CompiledChecker("mc", m.index_set(), m) {
     support::require<ModelError>(m.is_total(),
                                  "CtlChecker: transition relation must be total");
   }

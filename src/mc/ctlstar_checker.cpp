@@ -37,9 +37,7 @@ SatSet Checker::compute(const FormulaPtr& f) {
   const std::size_t n = m_.num_states();
 
   if (options_.use_ctl_fast_path && logic::is_ctl(f)) {
-    if (ctl_ == nullptr)
-      ctl_ = std::make_unique<CtlChecker>(
-          m_, CtlCheckerOptions{options_.unknown_atoms_are_false});
+    if (ctl_ == nullptr) ctl_ = std::make_unique<CtlChecker>(m_);
     ++stats_.ctl_fast_path_hits;
     return ctl_->sat(f);
   }
@@ -50,7 +48,7 @@ SatSet Checker::compute(const FormulaPtr& f) {
     case Kind::kAtom:
     case Kind::kIndexedAtom:
     case Kind::kExactlyOne:
-      return leaf_sat_set(m_, f, options_.unknown_atoms_are_false);
+      return leaf_sat_set(m_, f);
     case Kind::kNot: {
       SatSet s = sat(f->lhs());
       s.flip();
@@ -173,9 +171,7 @@ SatSet Checker::sat_exists_path(const FormulaPtr& g) {
     }
     if (auto it = leaf_cache.find(leaf->id()); it != leaf_cache.end())
       return it->second;
-    return leaf_cache
-        .emplace(leaf->id(), leaf_sat_set(m_, leaf, options_.unknown_atoms_are_false))
-        .first->second;
+    return leaf_cache.emplace(leaf->id(), leaf_sat_set(m_, leaf)).first->second;
   };
 
   ProductStats pstats;

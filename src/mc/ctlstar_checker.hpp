@@ -27,8 +27,6 @@ namespace ictl::mc {
 struct CheckerOptions {
   /// Route CTL-fragment formulas through the labeling algorithm.
   bool use_ctl_fast_path = true;
-  /// Treat atoms missing from the registry as false instead of erroring.
-  bool unknown_atoms_are_false = false;
 };
 
 struct CheckerStats {

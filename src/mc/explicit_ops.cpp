@@ -9,9 +9,7 @@ namespace ictl::mc {
 
 using Set = ExplicitStateOps::Set;
 
-ExplicitStateOps::ExplicitStateOps(const kripke::Structure& m,
-                                   bool unknown_atoms_are_false)
-    : m_(m), unknown_atoms_are_false_(unknown_atoms_are_false) {
+ExplicitStateOps::ExplicitStateOps(const kripke::Structure& m) : m_(m) {
   // Pre-size the scratch arena so the fixpoint primitives never allocate:
   // the worklist holds each state at most once per eu/eg call.
   worklist_.reserve(m.num_states());
@@ -27,7 +25,7 @@ Set ExplicitStateOps::top() const {
 Set ExplicitStateOps::bottom() const { return Set(m_.num_states()); }
 
 Set ExplicitStateOps::leaf(const logic::FormulaPtr& f) const {
-  return leaf_sat_set(m_, f, unknown_atoms_are_false_);
+  return leaf_sat_set(m_, f);
 }
 
 Set ExplicitStateOps::complement(const Set& s) const {

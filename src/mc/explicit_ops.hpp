@@ -23,8 +23,7 @@ class ExplicitStateOps {
  public:
   using Set = support::DynamicBitset;
 
-  explicit ExplicitStateOps(const kripke::Structure& m,
-                            bool unknown_atoms_are_false);
+  explicit ExplicitStateOps(const kripke::Structure& m);
 
   /// Universe = the whole state space; complement is the plain bit flip.
   [[nodiscard]] Set top() const;
@@ -54,7 +53,6 @@ class ExplicitStateOps {
 
  private:
   const kripke::Structure& m_;
-  bool unknown_atoms_are_false_;
   // Scratch arena, reserved to num_states() at construction and reused by
   // every eu/eg call.
   std::vector<kripke::StateId> worklist_;

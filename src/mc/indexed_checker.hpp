@@ -24,11 +24,9 @@ struct IndexedCheckResult {
 
 /// Checks `f` on `m` (initial-state verdict plus restriction report).
 [[nodiscard]] IndexedCheckResult check_indexed(const kripke::Structure& m,
-                                               const logic::FormulaPtr& f,
-                                               CheckerOptions options = {});
+                                               const logic::FormulaPtr& f);
 
 /// Convenience: initial-state verdict only.
-[[nodiscard]] bool holds(const kripke::Structure& m, const logic::FormulaPtr& f,
-                         CheckerOptions options = {});
+[[nodiscard]] bool holds(const kripke::Structure& m, const logic::FormulaPtr& f);
 
 }  // namespace ictl::mc

@@ -1,40 +1,35 @@
 #include "mc/leaf_sat.hpp"
 
-#include "logic/printer.hpp"
-#include "support/error.hpp"
+#include "kripke/leaf_props.hpp"
 
 namespace ictl::mc {
 
-using logic::FormulaPtr;
-using logic::Kind;
 using support::DynamicBitset;
 
-DynamicBitset leaf_sat_set(const kripke::Structure& m, const FormulaPtr& f,
-                           bool unknown_atoms_are_false) {
-  support::require<LogicError>(f != nullptr, "leaf_sat_set: null formula");
+DynamicBitset leaf_sat_set(const kripke::Structure& m, const logic::FormulaPtr& f) {
+  const kripke::LeafProps leaf = kripke::resolve_leaf(*m.registry(), f);
   const std::size_t n = m.num_states();
-  const kripke::PropRegistry& reg = *m.registry();
   DynamicBitset s(n);
 
-  switch (f->kind()) {
-    case Kind::kTrue:
+  switch (leaf.kind) {
+    case kripke::LeafProps::Kind::kAll:
       s.set_all();
       return s;
-    case Kind::kFalse:
+    case kripke::LeafProps::Kind::kNone:
       return s;
-    case Kind::kExactlyOne: {
-      if (auto theta = reg.find_theta(f->name())) {
-        s = m.states_with(*theta);  // empty column when theta postdates the build
-        return s;
-      }
+    case kripke::LeafProps::Kind::kOne:
+      // A straight copy of the prop column (empty when the prop postdates
+      // the build).
+      s = m.states_with(leaf.prop);
+      return s;
+    case kripke::LeafProps::Kind::kExactlyOne: {
       // Word-parallel exactly-one over the member prop columns: `ones`
       // accumulates states holding >= 1 member, `twos` states holding >= 2;
       // the answer is ones & ~twos, computed 64 states per word op.
-      const auto members = reg.indexed_with_base(f->name());
       DynamicBitset twos(n);
       const auto ones_w = s.mutable_words();
       const auto twos_w = twos.mutable_words();
-      for (const kripke::PropId p : members) {
+      for (const kripke::PropId p : leaf.members) {
         const auto col_w = m.states_with(p).words();
         for (std::size_t w = 0; w < ones_w.size(); ++w) {
           twos_w[w] |= ones_w[w] & col_w[w];
@@ -44,34 +39,8 @@ DynamicBitset leaf_sat_set(const kripke::Structure& m, const FormulaPtr& f,
       for (std::size_t w = 0; w < ones_w.size(); ++w) ones_w[w] &= ~twos_w[w];
       return s;
     }
-    case Kind::kAtom:
-    case Kind::kIndexedAtom: {
-      std::optional<kripke::PropId> prop;
-      if (f->kind() == Kind::kAtom) {
-        prop = reg.find_plain(f->name());
-        // Over a reduction M|i the process's propositions are index-erased;
-        // let the bare name refer to them when no plain prop shadows it.
-        if (!prop.has_value()) prop = reg.find_indexed_base(f->name());
-      } else {
-        support::require<LogicError>(
-            f->index_value().has_value(),
-            "leaf_sat_set: indexed atom with unbound index variable '" +
-                f->index_var() + "': " + logic::to_string(f));
-        prop = reg.find_indexed(f->name(), *f->index_value());
-      }
-      if (!prop.has_value()) {
-        support::require<LogicError>(
-            unknown_atoms_are_false,
-            "leaf_sat_set: unknown atomic proposition: " + logic::to_string(f));
-        return s;
-      }
-      // Atom leaves are a straight copy of the structure's prop column.
-      s = m.states_with(*prop);
-      return s;
-    }
-    default:
-      throw LogicError("leaf_sat_set: not a literal leaf: " + logic::to_string(f));
   }
+  return s;
 }
 
 }  // namespace ictl::mc

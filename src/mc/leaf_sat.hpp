@@ -8,20 +8,12 @@
 
 namespace ictl::mc {
 
-/// Computes the set of states labeling the leaf formula `f`:
-///   * kAtom        — states with the plain proposition; when no plain
-///                    proposition of that name exists, the index-erased
-///                    proposition (A[.] of a reduction M|i) is used, so
-///                    "the process's A" is written simply `A` over reduced
-///                    structures,
-///   * kIndexedAtom — states with the concrete indexed proposition (the
-///                    index must be bound; throws otherwise),
-///   * kExactlyOne  — states where exactly one index value has P_c in L(s)
-///                    (uses a materialized theta label when present),
-///   * kTrue/kFalse — all / no states.
-/// Unknown propositions are an error unless `unknown_atoms_are_false`.
+/// The states of `m` satisfying the leaf formula `f`, as resolved by
+/// kripke::resolve_leaf (which throws LogicError for an unknown atom, an
+/// unbound index, or a non-leaf): an atom or theta leaf is a copy of the
+/// proposition's label column, one(P) without a theta a word-parallel
+/// exactly-one over the member columns.
 [[nodiscard]] support::DynamicBitset leaf_sat_set(const kripke::Structure& m,
-                                                  const logic::FormulaPtr& f,
-                                                  bool unknown_atoms_are_false);
+                                                  const logic::FormulaPtr& f);
 
 }  // namespace ictl::mc

@@ -41,11 +41,10 @@ ExplicitRingCorrespondence::ExplicitRingCorrespondence(const RingSystem& a,
 }
 
 bisim::Theorem5Certificate explicit_ring_certificate(const RingSystem& base,
-                                                     const RingSystem& target,
-                                                     bisim::FindOptions options) {
+                                                     const RingSystem& target) {
   bisim::Theorem5Certificate cert = bisim::certify_theorem5(
       base.structure(), target.structure(),
-      ring_index_relation(base.size(), target.size()), options);
+      ring_index_relation(base.size(), target.size()));
   // The IN relation is total by construction, so every note names a failing
   // pair; say which rings it is between.
   for (std::string& note : cert.notes)

@@ -75,8 +75,7 @@ class ExplicitRingCorrespondence {
 /// pair's note names both rings.  Succeeds iff min(size) >= 3 or the sizes
 /// are equal.
 [[nodiscard]] bisim::Theorem5Certificate explicit_ring_certificate(
-    const RingSystem& base, const RingSystem& target,
-    bisim::FindOptions options = {});
+    const RingSystem& base, const RingSystem& target);
 
 /// Theorem 5 certificate for M_3 ~ M_r for ANY r >= 3, without constructing
 /// M_r.  Basis: the generic decision procedure certifies every IN pair of

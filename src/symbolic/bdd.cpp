@@ -378,8 +378,7 @@ void BddManager::rehash_subtable(SubTable& t, std::size_t new_buckets) {
 
 void BddManager::run_deferred_maintenance() {
   fire_pending_reorder();
-  if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0 &&
-      reorder_pause_depth_ == 0) {
+  if (gc_pending_ && !in_reorder_ && protect_scope_depth_ == 0) {
     gc_pending_ = false;
     garbage_collect();
   }
@@ -389,11 +388,10 @@ void BddManager::run_deferred_maintenance() {
 void BddManager::enforce_node_budget() {
   rt::ResourceBudget* budget = rt::current_budget();
   if (budget == nullptr || budget->node_cap() == 0) return;
-  // Inside a scope/pause neither GC nor sifting may run; the cap is
+  // Inside a scope neither GC nor sifting may run; the cap is
   // re-checked at the next maintenance point outside, exactly like a
   // deferred sweep.
-  if (in_reorder_ || protect_scope_depth_ > 0 || reorder_pause_depth_ > 0)
-    return;
+  if (in_reorder_ || protect_scope_depth_ > 0) return;
   const std::size_t cap = budget->node_cap();
   if (live_nodes_ - queued_dead_count_ <= cap) return;
   // Ladder step 1: reclaim garbage.
@@ -419,7 +417,7 @@ void BddManager::enforce_node_budget() {
 
 void BddManager::fire_pending_reorder() {
   if (!reorder_pending_ || !dynamic_reordering_.has_value() || in_reorder_ ||
-      reorder_pause_depth_ > 0 || protect_scope_depth_ > 0)
+      protect_scope_depth_ > 0)
     return;
   reorder_pending_ = false;
   ++stats_.reorder_hook_calls;
@@ -458,8 +456,8 @@ void BddManager::enable_auto_gc(std::size_t slack) {
 }
 
 std::size_t BddManager::garbage_collect() {
-  if (in_reorder_ || protect_scope_depth_ > 0 || reorder_pause_depth_ > 0) {
-    gc_pending_ = true;  // deferred: runs when the scope/pause closes
+  if (in_reorder_ || protect_scope_depth_ > 0) {
+    gc_pending_ = true;  // deferred: runs when the scope closes
     return 0;
   }
   // The failpoint sits below the deferral guard and above the first
@@ -957,8 +955,7 @@ void BddManager::sift_block(std::uint32_t top_var, std::uint32_t block_size,
 }
 
 std::size_t BddManager::reorder_now(const ReorderOptions& options) {
-  if (in_reorder_ || reorder_pause_depth_ > 0 || protect_scope_depth_ > 0 ||
-      num_vars_ < 2)
+  if (in_reorder_ || protect_scope_depth_ > 0 || num_vars_ < 2)
     return live_nodes();
   const std::uint32_t block_size = options.group_pairs ? 2u : 1u;
   if (block_size == 2) {

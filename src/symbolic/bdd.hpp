@@ -3,11 +3,10 @@
 // node/cache/queue tables legitimately store raw handles.
 //
 // A small self-contained BDD (reduced ordered binary decision diagram)
-// manager — the third engine's substrate.  No external dependencies, in the
-// spirit of the interner in src/support/: nodes are hash-consed through
-// per-variable unique subtables so structural equality is pointer (index)
-// equality, and the Shannon-expansion operators run through a lossy 2-way
-// set-associative computed-table cache with aging.
+// manager — the third engine's substrate.  No external dependencies: nodes
+// are hash-consed through per-variable unique subtables so structural
+// equality is pointer (index) equality, and the Shannon-expansion operators
+// run through a lossy 2-way set-associative computed-table cache with aging.
 //
 // Design notes:
 //   * Node handles are dense 32-bit indices (`Bdd`); 0 and 1 are the
@@ -320,22 +319,6 @@ class BddManager {
   /// handle keeps its function; caches are invalidated.
   void swap_adjacent_levels(std::uint32_t level);
 
-  /// Blocks growth-triggered reordering until the matching resume (calls
-  /// nest).  Builders that also need garbage collection deferred (any chain
-  /// of make_node calls or unrooted intermediates) should hold a
-  /// protect_scope instead, which pauses both.  A crossing detected while
-  /// paused stays pending and fires after the last resume.
-  void pause_reordering() { ++reorder_pause_depth_; }
-  /// Hard error (throws Error in every build type) when unbalanced: an
-  /// extra resume would underflow the pause depth and permanently suppress
-  /// pending reorders.
-  void resume_reordering() {
-    support::require<Error>(reorder_pause_depth_ > 0,
-                            "BddManager::resume_reordering: no matching "
-                            "pause_reordering (pause depth underflow)");
-    --reorder_pause_depth_;
-  }
-
   [[nodiscard]] std::uint32_t node_var(Bdd f) const;
   [[nodiscard]] Bdd node_low(Bdd f) const;
   [[nodiscard]] Bdd node_high(Bdd f) const;
@@ -528,7 +511,6 @@ class BddManager {
   std::size_t reorder_threshold_ = 0;
   bool reorder_pending_ = false;
   bool in_reorder_ = false;
-  std::uint32_t reorder_pause_depth_ = 0;
 
   // GC policy state (see garbage_collect / enable_auto_gc).
   bool gc_enabled_ = false;

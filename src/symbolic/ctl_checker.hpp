@@ -26,14 +26,10 @@
 
 namespace ictl::symbolic {
 
-using CtlCheckerOptions = eval::CtlCheckerOptions;
-
 class CtlChecker : public eval::CompiledChecker<SymbolicStateOps> {
  public:
-  explicit CtlChecker(std::shared_ptr<const TransitionSystem> system,
-                      CtlCheckerOptions options = {})
-      : CompiledChecker("sym", non_null(system).index_set(), std::move(system),
-                        options.unknown_atoms_are_false) {}
+  explicit CtlChecker(std::shared_ptr<const TransitionSystem> system)
+      : CompiledChecker("sym", non_null(system).index_set(), std::move(system)) {}
 
   /// Satisfying set (as a BDD over unprimed state variables, within the
   /// reachable states) of a CTL state formula.  The handle stays valid for

@@ -3,7 +3,7 @@
 #include <optional>
 #include <utility>
 
-#include "logic/printer.hpp"
+#include "kripke/leaf_props.hpp"
 #include "obs/obs.hpp"
 #include "rt/budget.hpp"
 #include "rt/failpoint.hpp"
@@ -12,13 +12,10 @@
 namespace ictl::symbolic {
 
 using logic::FormulaPtr;
-using logic::Kind;
 using Set = SymbolicStateOps::Set;
 
-SymbolicStateOps::SymbolicStateOps(
-    std::shared_ptr<const TransitionSystem> system, bool unknown_atoms_are_false)
-    : system_(std::move(system)),
-      unknown_atoms_are_false_(unknown_atoms_are_false) {
+SymbolicStateOps::SymbolicStateOps(std::shared_ptr<const TransitionSystem> system)
+    : system_(std::move(system)) {
   support::require<ModelError>(system_ != nullptr, "SymbolicStateOps: null system");
   reach_ = BddRef(system_->manager(), system_->reachable());
 }
@@ -100,57 +97,24 @@ Set SymbolicStateOps::eg(const Set& f) {
 
 Set SymbolicStateOps::leaf(const FormulaPtr& f) const {
   BddManager& m = system_->manager();
-  const kripke::PropRegistry& reg = *system_->registry();
-
-  const auto restrict_or_unknown =
-      [&](std::optional<kripke::PropId> prop) -> BddRef {
-    if (!prop.has_value()) {
-      support::require<LogicError>(
-          unknown_atoms_are_false_,
-          "symbolic CtlChecker: unknown atomic proposition: " +
-              logic::to_string(f));
-      return BddRef(m, kBddFalse);
-    }
-    // Registered proposition without a characteristic function: false in
-    // every state — mirroring the explicit engine, where a prop registered
-    // after the build has an empty label column, not an error.
-    const std::optional<Bdd> states = system_->prop_states(*prop);
-    if (!states.has_value()) return BddRef(m, kBddFalse);
-    return m.bdd_and(reach_, *states);
-  };
-
-  switch (f->kind()) {
-    case Kind::kTrue:
+  const kripke::LeafProps leaf = kripke::resolve_leaf(*system_->registry(), f);
+  switch (leaf.kind) {
+    case kripke::LeafProps::Kind::kAll:
       return reach_;
-    case Kind::kFalse:
+    case kripke::LeafProps::Kind::kNone:
       return BddRef(m, kBddFalse);
-    case Kind::kAtom: {
-      std::optional<kripke::PropId> prop = reg.find_plain(f->name());
-      // Mirror mc::leaf_sat_set: bare names may refer to index-erased
-      // propositions of a reduction when no plain prop shadows them.
-      if (!prop.has_value()) prop = reg.find_indexed_base(f->name());
-      return restrict_or_unknown(prop);
+    case kripke::LeafProps::Kind::kOne: {
+      // Registered proposition without a characteristic function: false in
+      // every state, as the explicit engine's empty label column.
+      const std::optional<Bdd> states = system_->prop_states(leaf.prop);
+      return states.has_value() ? m.bdd_and(reach_, *states)
+                                : BddRef(m, kBddFalse);
     }
-    case Kind::kIndexedAtom: {
-      support::require<LogicError>(
-          f->index_value().has_value(),
-          "symbolic CtlChecker: indexed atom with unbound index variable '" +
-              f->index_var() + "': " + logic::to_string(f));
-      return restrict_or_unknown(reg.find_indexed(f->name(), *f->index_value()));
-    }
-    case Kind::kExactlyOne: {
-      // A registered theta takes precedence, exactly as in mc::leaf_sat_set:
-      // with a characteristic function it is the answer; registered but
-      // function-less (theta postdates the build) it is the empty column.
-      if (const auto theta = reg.find_theta(f->name())) {
-        const auto states = system_->prop_states(*theta);
-        return states.has_value() ? m.bdd_and(reach_, *states)
-                                  : BddRef(m, kBddFalse);
-      }
-      // Otherwise the running none/one scan over the member functions.
+    case kripke::LeafProps::Kind::kExactlyOne: {
+      // The running none/one scan over the member functions.
       BddRef none(m, reach_.get());
       BddRef one(m, kBddFalse);
-      for (const kripke::PropId p : reg.indexed_with_base(f->name())) {
+      for (const kripke::PropId p : leaf.members) {
         const auto member = system_->prop_states(p);
         if (!member.has_value()) continue;
         one = m.bdd_or(m.bdd_and(one, m.bdd_not(*member)),
@@ -159,10 +123,8 @@ Set SymbolicStateOps::leaf(const FormulaPtr& f) const {
       }
       return one;
     }
-    default:
-      throw LogicError("symbolic CtlChecker: not a literal leaf: " +
-                       logic::to_string(f));
   }
+  return BddRef(m, kBddFalse);
 }
 
 }  // namespace ictl::symbolic

@@ -25,8 +25,7 @@ class SymbolicStateOps {
  public:
   using Set = BddRef;
 
-  explicit SymbolicStateOps(std::shared_ptr<const TransitionSystem> system,
-                            bool unknown_atoms_are_false);
+  explicit SymbolicStateOps(std::shared_ptr<const TransitionSystem> system);
 
   /// Universe = the reachable set (checker-rooted for the ops' lifetime).
   [[nodiscard]] Set top() const;
@@ -60,7 +59,6 @@ class SymbolicStateOps {
 
  private:
   std::shared_ptr<const TransitionSystem> system_;
-  bool unknown_atoms_are_false_;
   // Ops-rooted universe: the system caches reachable() too, but holding our
   // own ref keeps it alive even if the system is mutated or outlived —
   // raw Bdd members are exactly what tools/ictl_lint forbids.

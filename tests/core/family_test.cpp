@@ -5,7 +5,7 @@
 #include "core/certificate.hpp"
 #include "ring/ring.hpp"
 #include "ring/ring_correspondence.hpp"
-#include "symbolic/transition_system.hpp"
+#include "symbolic/ring_encoding.hpp"
 
 namespace ictl::core {
 namespace {
@@ -27,29 +27,19 @@ TEST(RingMutexFamily, MetadataMatchesTheRing) {
 }
 
 TEST(RingMutexFamily, SymbolicInstancePassesTheExplicitWall) {
+  // Past the explicit cap the ring is built symbolically over the family's
+  // registry, so the explicit instances' PropIds name the symbolic
+  // instance's label functions.
   RingMutexFamily family;
-  EXPECT_EQ(family.max_symbolic_size(), 256u);
-  const auto sym = family.symbolic_instance(32);
-  ASSERT_NE(sym, nullptr);
-  EXPECT_EQ(sym->num_states(), symbolic::SatCount::make(32, 32));  // 32 * 2^32
-  // Built over the family registry: the explicit instances' PropIds name
-  // the symbolic instance's label functions.
   const auto m3 = family.instance(3);
+  const auto sym = symbolic::build_symbolic_ring(32, nullptr, m3.registry()).system;
+  EXPECT_EQ(sym->num_states(), symbolic::SatCount::make(32, 32));  // 32 * 2^32
   EXPECT_EQ(sym->registry().get(), m3.registry().get());
   for (const kripke::PropId p : m3.used_props())
     EXPECT_TRUE(sym->prop_states(p).has_value()) << m3.registry()->display(p);
   const auto c32 = m3.registry()->find_indexed("c", 32);
   ASSERT_TRUE(c32.has_value());
   EXPECT_TRUE(sym->prop_states(*c32).has_value());
-}
-
-TEST(ParameterizedFamily, FamiliesWithoutEncodingHaveNoSymbolicInstance) {
-  StarMutexFamily star;
-  CountingFamily counting;
-  EXPECT_EQ(star.max_symbolic_size(), 0u);
-  EXPECT_EQ(star.symbolic_instance(3), nullptr);
-  EXPECT_EQ(counting.max_symbolic_size(), 0u);
-  EXPECT_EQ(counting.symbolic_instance(3), nullptr);
 }
 
 TEST(RingMutexFamily, IndexRelationIsTheRingRelation) {

@@ -26,7 +26,7 @@ void expect_matches_reference(const kripke::Structure& m,
   ProgramCompiler compiler({});
   const auto program = compiler.compile(f);
 
-  mc::ExplicitStateOps explicit_ops(m, /*unknown_atoms_are_false=*/false);
+  mc::ExplicitStateOps explicit_ops(m);
   ProgramEvaluator<mc::ExplicitStateOps> explicit_eval(explicit_ops);
   const auto via_explicit = explicit_eval.run(*program);
 
@@ -74,7 +74,7 @@ TEST(ProgramEvaluator, ExInstructionMatchesNaivePreImage) {
     ProgramCompiler compiler({});
 
     const auto ex_f = logic::make_E(logic::make_next(logic::atom("p")));
-    mc::ExplicitStateOps ops(m, false);
+    mc::ExplicitStateOps ops(m);
     ProgramEvaluator<mc::ExplicitStateOps> eval(ops);
     const auto via_program = eval.run(*compiler.compile(ex_f));
     const auto expected =
@@ -101,7 +101,7 @@ TEST(ProgramEvaluator, NaiveBackendRunsTheIdenticalProgram) {
   ProgramCompiler compiler({});
   const auto program = compiler.compile(parse_formula("A G (p -> E (p U q))"));
 
-  mc::ExplicitStateOps explicit_ops(m, false);
+  mc::ExplicitStateOps explicit_ops(m);
   mc::naive::NaiveStateOps naive_ops(m);
   ProgramEvaluator<mc::ExplicitStateOps> a(explicit_ops);
   ProgramEvaluator<mc::naive::NaiveStateOps> b(naive_ops);
@@ -133,7 +133,7 @@ TEST(ProgramEvaluator, StatsCountInstructionsAndFixpoints) {
   ProgramCompiler compiler({});
   const auto program = compiler.compile(parse_formula("A G (p -> A F q)"));
 
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   ProgramEvaluator<mc::ExplicitStateOps> eval(ops);
   static_cast<void>(eval.run(*program));
   const EvalStats& stats = eval.stats();

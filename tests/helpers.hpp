@@ -127,6 +127,15 @@ section_five_properties() {
   return ring::section5_specifications();
 }
 
+/// Membership of explicit state `s` in a set-BDD of a from_structure system.
+inline bool contains(const symbolic::TransitionSystem& ts, symbolic::Bdd set,
+                     kripke::StateId s) {
+  std::vector<bool> assignment(ts.manager().num_vars(), false);
+  for (std::uint32_t v = 0; v < ts.num_state_vars(); ++v)
+    assignment[symbolic::TransitionSystem::unprimed(v)] = ((s >> v) & 1u) != 0;
+  return ts.manager().eval(set, assignment);
+}
+
 }  // namespace ictl::testing
 
 namespace ictl::symbolic {

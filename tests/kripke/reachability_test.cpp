@@ -51,7 +51,7 @@ TEST(ForwardReachable, FromSingleState) {
 TEST(BackwardReachable, FindsAllAncestors) {
   auto reg = make_registry();
   const Structure m = chain_with_cycle(reg);
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   const Set r = ops.eu(ops.top(), states(m.num_states(), {3}));
   EXPECT_TRUE(r.test(0));
   EXPECT_TRUE(r.test(1));
@@ -63,7 +63,7 @@ TEST(BackwardReachable, FindsAllAncestors) {
 TEST(BackwardReachable, RespectsWithinRestriction) {
   auto reg = make_registry();
   const Structure m = chain_with_cycle(reg);
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   // Only state 2 may be traversed on the way to 3.
   const Set r = ops.eu(states(m.num_states(), {2}), states(m.num_states(), {3}));
   EXPECT_TRUE(r.test(2));
@@ -76,7 +76,7 @@ TEST(Scc, NontrivialDetection) {
   // f-restricted graph, so EG over one component detects its cycle.
   auto reg = make_registry();
   const Structure m = chain_with_cycle(reg);
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   const std::size_t n = m.num_states();
   EXPECT_EQ(ops.eg(states(n, {2, 3})), states(n, {2, 3}));  // 2-cycle
   EXPECT_EQ(ops.eg(states(n, {4})), states(n, {4}));        // self-loop
@@ -87,7 +87,7 @@ TEST(Scc, NontrivialDetection) {
 TEST(Scc, WholeGraphStronglyConnected) {
   auto reg = make_registry();
   const Structure m = testing::two_state_loop(reg);
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   // Every state reaches every other, and the whole graph is one cycle.
   for (StateId s = 0; s < m.num_states(); ++s)
     EXPECT_EQ(ops.eu(ops.top(), states(m.num_states(), {s})), ops.top()) << s;
@@ -103,7 +103,7 @@ TEST_P(RandomStructureSweep, ForwardBackwardDuality) {
   const Structure m = testing::random_structure(reg, 40, GetParam());
   std::vector<StateId> old_to_new;
   static_cast<void>(restrict_to_reachable(m, &old_to_new));
-  mc::ExplicitStateOps ops(m, false);
+  mc::ExplicitStateOps ops(m);
   for (StateId t = 0; t < m.num_states(); ++t) {
     const Set bwd = ops.eu(ops.top(), states(m.num_states(), {t}));
     EXPECT_EQ(old_to_new[t] != kNoState, bwd.test(m.initial())) << "state " << t;

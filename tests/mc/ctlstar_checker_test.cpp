@@ -128,35 +128,31 @@ TEST(CtlStarChecker, MemoizationReturnsSameSet) {
 }
 
 TEST(CtlStarChecker, FastPathPropagatesUnknownAtomPolicy) {
-  // Regression pin: CheckerOptions::unknown_atoms_are_false must reach the
-  // lazily created CTL fast-path checker, so both routes through Checker
-  // agree on formulas mentioning unregistered atoms.
+  // Both routes through Checker -- the lazily created CTL fast path and the
+  // tableau -- resolve atoms the same way: an unknown name throws, a
+  // registered name that labels no state reads as false.
   auto reg = kripke::make_registry();
   const auto m = three_states(reg);
-  // "nosuch" is never registered; the formula is CTL, so with the fast
-  // path enabled it is decided by the compiled-program checker.
+  // The formula is CTL, so with the fast path enabled it is decided by the
+  // compiled-program checker.
   const auto f = parse_formula("A G (nosuch -> p)");
+  CheckerOptions no_fast;
+  no_fast.use_ctl_fast_path = false;
+  {
+    Checker fast(m);
+    Checker tableau(m, no_fast);
+    EXPECT_THROW(static_cast<void>(fast.sat(f)), LogicError);
+    EXPECT_THROW(static_cast<void>(tableau.sat(f)), LogicError);
+  }
 
-  CheckerOptions lax;
-  lax.unknown_atoms_are_false = true;
-  Checker fast_lax(m, lax);
-  CheckerOptions lax_no_fast = lax;
-  lax_no_fast.use_ctl_fast_path = false;
-  Checker tableau_lax(m, lax_no_fast);
-  // Vacuously true everywhere when the unknown atom reads as false.
-  EXPECT_TRUE(fast_lax.sat(f).all());
-  EXPECT_TRUE(fast_lax.sat(f) == tableau_lax.sat(f));
-  EXPECT_EQ(fast_lax.stats().ctl_fast_path_hits, 1u);
-  EXPECT_EQ(tableau_lax.stats().ctl_fast_path_hits, 0u);
-
-  // Strict mode must throw on both routes — if the option were dropped on
-  // the fast path, the lax checker above would have thrown here instead.
-  Checker fast_strict(m);
-  CheckerOptions strict_no_fast;
-  strict_no_fast.use_ctl_fast_path = false;
-  Checker tableau_strict(m, strict_no_fast);
-  EXPECT_THROW(static_cast<void>(fast_strict.sat(f)), LogicError);
-  EXPECT_THROW(static_cast<void>(tableau_strict.sat(f)), LogicError);
+  static_cast<void>(reg->plain("nosuch"));
+  Checker fast(m);
+  Checker tableau(m, no_fast);
+  // Vacuously true everywhere once the atom reads as false.
+  EXPECT_TRUE(fast.sat(f).all());
+  EXPECT_TRUE(fast.sat(f) == tableau.sat(f));
+  EXPECT_EQ(fast.stats().ctl_fast_path_hits, 1u);
+  EXPECT_EQ(tableau.stats().ctl_fast_path_hits, 0u);
 }
 
 TEST(CtlStarChecker, FastPathExposesEvalCoreStats) {

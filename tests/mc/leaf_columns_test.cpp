@@ -65,7 +65,7 @@ TEST(LeafColumns, WordParallelExactlyOneMatchesScanOnRings) {
       // For "t" the ring materialized theta at build time (column-copy
       // path); d/n/c have no theta and take the word-parallel path.  Both
       // must agree with the per-state recount.
-      const DynamicBitset fast = leaf_sat_set(m, f, false);
+      const DynamicBitset fast = leaf_sat_set(m, f);
       const DynamicBitset slow = scan_exactly_one(m, members);
       EXPECT_TRUE(fast == slow) << "r=" << r << " one(" << base << ")";
     }
@@ -90,7 +90,7 @@ TEST(LeafColumns, ExactlyOneOnWideRegistries) {
   b.set_initial(s0);
   const auto m = std::move(b).build();
 
-  const auto fast = leaf_sat_set(m, logic::exactly_one("P"), false);
+  const auto fast = leaf_sat_set(m, logic::exactly_one("P"));
   EXPECT_TRUE(fast == scan_exactly_one(m, members));
   EXPECT_TRUE(fast.test(0));
   EXPECT_FALSE(fast.test(1));

@@ -62,17 +62,11 @@ logic::FormulaPtr random_ctl(Rng& rng, std::size_t depth) {
   }
 }
 
-/// Membership of explicit state `s` in a from_structure set-BDD.
-bool contains(const TransitionSystem& ts, Bdd set, kripke::StateId s) {
-  std::vector<bool> assignment(ts.manager().num_vars(), false);
-  for (std::uint32_t v = 0; v < ts.num_state_vars(); ++v)
-    assignment[TransitionSystem::unprimed(v)] = ((s >> v) & 1u) != 0;
-  return ts.manager().eval(set, assignment);
-}
+using ictl::testing::contains;
 
 /// The unbudgeted explicit-engine verdict — ground truth for every retry.
 mc::SatSet reference_sat(const kripke::Structure& m, const logic::FormulaPtr& f) {
-  mc::CtlChecker checker(m, {.unknown_atoms_are_false = true});
+  mc::CtlChecker checker(m);
   return checker.sat(f);
 }
 
@@ -81,7 +75,7 @@ TEST(BudgetTrip, SymbolicIterationCapTripsAuditsCleanAndRetries) {
   const auto m = testing::random_structure(reg, 28, 11);
   const auto f = logic::AG(logic::EF(logic::atom("p")));
   auto ts = std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-  symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+  symbolic::CtlChecker checker(ts);
 
   ResourceBudget budget(BudgetLimits{.iteration_cap = 1});
   try {
@@ -108,7 +102,7 @@ TEST(BudgetTrip, NodeCapLadderTripsTypedAndManagerStaysUsable) {
   const auto m = testing::random_structure(reg, 28, 3);
   const auto f = logic::EU(logic::atom("p"), logic::atom("q"));
   auto ts = std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-  symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+  symbolic::CtlChecker checker(ts);
 
   // A cap far below what the query needs: the GC -> forced-sift ladder
   // cannot get under it, so the manager trips kNodes from its
@@ -136,7 +130,7 @@ TEST(BudgetTrip, GenerousNodeCapDegradesGracefullyInsteadOfTripping) {
   const auto m = testing::random_structure(reg, 28, 5);
   const auto f = logic::AF(logic::atom("q"));
   auto ts = std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-  symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+  symbolic::CtlChecker checker(ts);
 
   // Plenty of room: the ladder's GC (and at worst one forced sift) keeps
   // the population under the cap and the query completes.
@@ -156,7 +150,7 @@ TEST(BudgetTrip, ExplicitEngineWorkCapTripsAndRetries) {
   auto reg = kripke::make_registry();
   const auto m = testing::random_structure(reg, 28, 7);
   const auto f = logic::AU(logic::atom("p"), logic::EF(logic::atom("q")));
-  mc::CtlChecker checker(m, {.unknown_atoms_are_false = true});
+  mc::CtlChecker checker(m);
 
   ResourceBudget budget(BudgetLimits{.work_cap = 2});
   try {
@@ -177,7 +171,7 @@ TEST(BudgetTrip, WallClockDeadlineTripsTyped) {
   auto reg = kripke::make_registry();
   const auto m = testing::random_structure(reg, 28, 9);
   const auto f = logic::AG(logic::EF(logic::atom("p")));
-  mc::CtlChecker checker(m, {.unknown_atoms_are_false = true});
+  mc::CtlChecker checker(m);
 
   ResourceBudget budget(BudgetLimits{.deadline_ns = 1});
   while (budget.elapsed_ns() < 2) {
@@ -200,7 +194,7 @@ TEST(BudgetTrip, CancellationUnwindsAsInterrupted) {
   const auto m = testing::random_structure(reg, 28, 13);
   const auto f = logic::EG(logic::atom("p"));
   auto ts = std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-  symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+  symbolic::CtlChecker checker(ts);
 
   CancellationToken token;
   token.cancel();  // already cancelled: the first checkpoint unwinds
@@ -251,7 +245,7 @@ TEST(BudgetTrip, SymbolicFailpointsLeaveTheManagerReusable) {
        {"sym/eu_iter", "sym/eg_iter", "sym/reach_round", "eval/instruction"}) {
     auto ts =
         std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-    symbolic::CtlChecker checker(ts, {.unknown_atoms_are_false = true});
+    symbolic::CtlChecker checker(ts);
     arm_failpoint(site);
     try {
       static_cast<void>(checker.sat(f));
@@ -279,8 +273,8 @@ TEST(BudgetTrip, SeededRandomTripStress) {
     const auto m = testing::random_structure(reg, 24, 31 + seed);
     auto ts =
         std::make_shared<const TransitionSystem>(symbolic::from_structure(m));
-    symbolic::CtlChecker symbolic_checker(ts, {.unknown_atoms_are_false = true});
-    mc::CtlChecker explicit_checker(m, {.unknown_atoms_are_false = true});
+    symbolic::CtlChecker symbolic_checker(ts);
+    mc::CtlChecker explicit_checker(m);
 
     for (int round = 0; round < 8; ++round) {
       const auto f = random_ctl(rng, 1 + rng.below(3));

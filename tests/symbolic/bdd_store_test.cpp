@@ -233,8 +233,8 @@ TEST(BddStoreTransitionSystem, BridgeSystemRoundTripsPropsAndVerdicts) {
               orig->manager().sat_count_exact(orig->props()[i].second));
   }
 
-  CtlChecker before(orig, {.unknown_atoms_are_false = true});
-  CtlChecker after(loaded, {.unknown_atoms_are_false = true});
+  CtlChecker before(orig);
+  CtlChecker after(loaded);
   const std::vector<logic::FormulaPtr> formulas = {
       logic::AG(logic::EF(logic::atom("p"))),
       logic::EU(logic::atom("p"), logic::atom("q")),

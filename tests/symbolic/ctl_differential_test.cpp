@@ -94,20 +94,14 @@ logic::FormulaPtr random_ring_ctl(Rng& rng, std::uint32_t r, std::size_t depth) 
   }
 }
 
-/// Membership of explicit state `s` in a from_structure set-BDD.
-bool contains(const TransitionSystem& ts, Bdd set, kripke::StateId s) {
-  std::vector<bool> assignment(ts.manager().num_vars(), false);
-  for (std::uint32_t v = 0; v < ts.num_state_vars(); ++v)
-    assignment[TransitionSystem::unprimed(v)] = ((s >> v) & 1u) != 0;
-  return ts.manager().eval(set, assignment);
-}
+using ictl::testing::contains;
 
 /// Asserts symbolic == explicit == naive on every state of `m`.
 void expect_three_way_agreement(const kripke::Structure& m,
                                 const logic::FormulaPtr& f, const char* context) {
-  mc::CtlChecker explicit_checker(m, {.unknown_atoms_are_false = true});
+  mc::CtlChecker explicit_checker(m);
   auto ts = std::make_shared<const TransitionSystem>(from_structure(m));
-  CtlChecker symbolic_checker(ts, {.unknown_atoms_are_false = true});
+  CtlChecker symbolic_checker(ts);
 
   const mc::SatSet& fast = explicit_checker.sat(f);
   const mc::SatSet naive_result = mc::naive::sat(m, f);
@@ -139,6 +133,10 @@ TEST(ThreeEngineDifferential, ClientServerStars) {
   // bridge; the specs mix EU/AG/EF/AF over indexed atoms.
   for (const std::uint32_t n : {2u, 3u, 4u, 5u}) {
     const auto m = network::star_mutex(n);
+    // The star labels no state with the plain p/q: registered, they read
+    // as false in all three engines.
+    static_cast<void>(m.registry()->plain("p"));
+    static_cast<void>(m.registry()->plain("q"));
     auto ts = std::make_shared<const TransitionSystem>(from_structure(m));
     mc::CtlChecker explicit_checker(m);
     CtlChecker symbolic_checker(ts);
@@ -147,7 +145,7 @@ TEST(ThreeEngineDifferential, ClientServerStars) {
                 explicit_checker.holds_initially(f))
           << "star n=" << n << " " << name;
     }
-    // Random plain-atom formulas three ways (p/q unknown on stars: false).
+    // Random plain-atom formulas three ways.
     Rng rng(n * 99 + 1);
     for (int k = 0; k < 6; ++k)
       expect_three_way_agreement(m, random_ctl(rng, 2), "star");
@@ -221,16 +219,19 @@ TEST_P(RingDifferential, RandomFormulasAgreeStateForState) {
 }
 
 TEST_P(RingDifferential, PlainAtomFormulasAgreeThreeWays) {
-  // The naive reference only evaluates plain atoms (p/q, unknown on rings,
-  // reading false everywhere) — which is exactly what makes it a good
-  // third opinion on the boolean/fixpoint plumbing of both fast engines.
+  // The naive reference only evaluates plain atoms (p/q, registered after
+  // the ring builds and so reading false everywhere) — which is exactly what
+  // makes it a good third opinion on the boolean/fixpoint plumbing of both
+  // fast engines.
   const std::uint32_t r = GetParam();
   auto reg = kripke::make_registry();
   const auto explicit_sys = testing::ring_of(r, reg);
   const auto& m = explicit_sys.structure();
   const SymbolicRing sym = build_symbolic_ring(r, nullptr, reg);
-  mc::CtlChecker explicit_checker(m, {.unknown_atoms_are_false = true});
-  CtlChecker symbolic_checker(sym.system, {.unknown_atoms_are_false = true});
+  static_cast<void>(reg->plain("p"));
+  static_cast<void>(reg->plain("q"));
+  mc::CtlChecker explicit_checker(m);
+  CtlChecker symbolic_checker(sym.system);
   BddManager& mgr = sym.system->manager();
 
   Rng rng(r * 77 + 13);
@@ -326,10 +327,8 @@ TEST(SymbolicCtl, RejectsNonCtlAndFreeVariables) {
   // A free index variable is not checkable.
   EXPECT_THROW(static_cast<void>(checker.sat(logic::AG(logic::iatom("d", "i")))),
                LogicError);
-  // Unknown atoms throw unless the option says otherwise.
+  // An atom the registry does not know always throws.
   EXPECT_THROW(static_cast<void>(checker.sat(logic::atom("zz"))), LogicError);
-  CtlChecker lenient(sym.system, {.unknown_atoms_are_false = true});
-  EXPECT_EQ(lenient.sat(logic::atom("zz")), kBddFalse);
 }
 
 TEST(SymbolicCtl, RegisteredPropWithoutFunctionReadsFalse) {

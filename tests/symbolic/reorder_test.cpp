@@ -283,7 +283,7 @@ TEST(Reorder, SharedManagerSecondBuildIsSafeFromInheritedHook) {
   mgr->enable_dynamic_reordering(256);
   EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));
   // The second build grows the table well past every doubled threshold, so
-  // without the pause the armed trigger fires mid-build.
+  // without the build's protect_scope the armed trigger fires mid-build.
   const SymbolicRing second = build_symbolic_ring(24, mgr, reg);
   EXPECT_EQ(second.system->num_states(), SatCount::make(ring::ring_state_count(24)));
   EXPECT_EQ(first.system->num_states(), SatCount::make(ring::ring_state_count(6)));

@@ -14,13 +14,7 @@ namespace {
 
 using support::DynamicBitset;
 
-/// Membership of explicit state `s` in a set-BDD of a from_structure system.
-bool contains(const TransitionSystem& ts, Bdd set, kripke::StateId s) {
-  std::vector<bool> assignment(ts.manager().num_vars(), false);
-  for (std::uint32_t v = 0; v < ts.num_state_vars(); ++v)
-    assignment[TransitionSystem::unprimed(v)] = ((s >> v) & 1u) != 0;
-  return ts.manager().eval(set, assignment);
-}
+using ictl::testing::contains;
 
 /// The set-BDD of an explicit state-bitset.
 Bdd encode(const TransitionSystem& ts, const DynamicBitset& set) {
